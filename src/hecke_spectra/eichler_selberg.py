@@ -237,13 +237,17 @@ def _trace_new_direct(n: int, k: int, N: int) -> TraceBreakdown:
 def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
     """Normalized trace of T_n on the newform subspace of S_k(N), N squarefree.
 
-    Evaluated from the closed-form newform terms and independently as
-    sum_{d|N} sigma_0(N/d) mu(N/d) trace_full(n,k,d); any disagreement is an
-    internal error, not a return value."""
+    Evaluated from the closed-form newform terms and, for N > 1,
+    independently as sum_{d|N} sigma_0(N/d) mu(N/d) trace_full(n,k,d); any
+    disagreement is an internal error, not a return value.  At N = 1 that
+    cross-route is the same computation (every local weight is 1), so it is
+    skipped."""
     _check_trace_args(n, k, N)
     if mobius(N) == 0:
         raise ValueError("trace_new: N must be squarefree")
     direct = _trace_new_direct(n, k, N)
+    if N == 1:
+        return direct
     x1 = Fraction(0)
     x2 = []
     x3 = Fraction(0)

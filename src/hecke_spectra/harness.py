@@ -1,8 +1,8 @@
 """Experiment front end: flat key=value configs, JSONL record emission, a
 checksummed persistent memo cache, and the `verify` self-check.
 
-Sweep cells run in a thread pool; emission is ordered by cell index so the
-numeric output is identical across runs and thread counts.
+Sweep cells run one after another in cell order; a Petersson sweep walks c
+once for all of its cells.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -190,41 +189,10 @@ def _memo_float(name: str, args: str, compute: Callable[[], Tuple[float, Optiona
     return value
 
 
-def _memo_fraction(name: str, args: str, compute: Callable[[], Fraction]) -> Fraction:
-    hit = cache_get((name, args))
-    if hit is not None and hit.is_exact:
-        return hit.value
-    value = compute()
-    cache_put(CacheEntry((name, args), value))
-    return value
-
-
-def cached_class_number(D: int) -> int:
-    from .class_numbers import class_number
-
-    return int(_memo_fraction("class_number", str(D), lambda: Fraction(class_number(D).h)))
-
-
-def cached_hurwitz_H(n: int) -> Fraction:
-    from .class_numbers import hurwitz_H
-
-    return _memo_fraction("hurwitz_H", str(n), lambda: hurwitz_H(n))
-
-
 def cached_d_coefficient(t: int, n: int, N: int) -> float:
     from .eichler_selberg import d_coefficient
 
     return _memo_float("d_coefficient", f"{t},{n},{N}", lambda: (d_coefficient(t, n, N), 0.0))
-
-
-def cached_bessel_j(order: int, x: float) -> float:
-    from .special_functions import bessel_j
-
-    def compute():
-        b = bessel_j(order, x)
-        return b.value, b.abs_error_bound
-
-    return _memo_float("bessel_j", f"{order},{x!r}", compute)
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +222,10 @@ def _int_list(cfg: Dict[str, str], key: str, default: Optional[str] = None) -> L
         part = part.strip()
         try:
             if ".." in part:
-                lo, hi = part.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = (int(x) for x in part.split(".."))
+                if lo > hi:
+                    raise ConfigError(f"key {key!r}: range {part!r} is empty")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(part))
         except ValueError:
@@ -281,26 +251,23 @@ def _float_scalar(cfg: Dict[str, str], key: str, default: Optional[str] = None) 
 
 
 # ---------------------------------------------------------------------------
-# sweep execution: work pool + emission ordered by cell index
+# sweep execution: one record per cell, in cell order
 
 
 def _run_cells(cells: Sequence[dict], work: Callable[[dict], Tuple[dict, dict]],
-               experiment: str, threads: int) -> List[ExperimentRecord]:
+               experiment: str) -> List[ExperimentRecord]:
     def one(cell):
         outputs, truncation = work(cell)
         return ExperimentRecord(experiment, cell, outputs, _provenance(truncation))
 
-    if threads <= 1:
-        return [one(c) for c in cells]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, cells))
+    return [one(c) for c in cells]
 
 
 # ---------------------------------------------------------------------------
 # experiment drivers
 
 
-def _exp_trace(cfg, threads):
+def _exp_trace(cfg):
     from .eichler_selberg import trace_full, trace_new
 
     kind = cfg.get("kind", "new")
@@ -324,14 +291,15 @@ def _exp_trace(cfg, threads):
         }
         return outputs, {"mode": "exact identity, no truncation"}
 
-    return _run_cells(cells, work, "trace", threads)
+    return _run_cells(cells, work, "trace")
 
 
-def _exp_petersson(cfg, threads):
-    from .petersson import delta_full, delta_new
+def _exp_petersson(cfg):
+    from .petersson import petersson_cells
 
     kind = cfg.get("kind", "full")
-    fn = delta_full if kind == "full" else delta_new
+    if kind not in ("full", "new"):
+        raise ConfigError("petersson: kind must be 'full' or 'new'")
     m = _int_list(cfg, "m", "1")
     cells = [
         {"k": k, "N": N, "m": mm, "n": n, "kind": kind}
@@ -340,18 +308,22 @@ def _exp_petersson(cfg, threads):
         for mm in m
         for n in _int_list(cfg, "n")
     ]
+    results = {
+        (r.k, r.N, r.m, r.n): r
+        for r in petersson_cells(kind, [(c["k"], c["N"], c["m"], c["n"]) for c in cells])
+    }
 
     def work(cell):
-        r = fn(cell["k"], cell["N"], cell["m"], cell["n"])
+        r = results[cell["k"], cell["N"], cell["m"], cell["n"]]
         return (
             {"value": r.value, "truncation_bound": r.truncation_bound},
             {"c_max": r.c_max, "l_max": r.l_max, "tail_bound": r.truncation_bound},
         )
 
-    return _run_cells(cells, work, "petersson", threads)
+    return _run_cells(cells, work, "petersson")
 
 
-def _exp_bessel_sum(cfg, threads):
+def _exp_bessel_sum(cfg):
     from .special_functions import weighted_bessel_order_sum
 
     K = _float_scalar(cfg, "K")
@@ -362,10 +334,10 @@ def _exp_bessel_sum(cfg, threads):
         s = weighted_bessel_order_sum(cell["K"], cell["delta"], cell["x"])
         return {"sum": s}, {"order_window": [K - K ** delta, K + K ** delta]}
 
-    return _run_cells(cells, work, "bessel-sum", threads)
+    return _run_cells(cells, work, "bessel-sum")
 
 
-def _exp_noweight(cfg, threads):
+def _exp_noweight(cfg):
     from .eichler_selberg import WindowSpec, averaged_trace_window, noweight_main_term
 
     delta = _float_scalar(cfg, "delta", "0.25")
@@ -387,10 +359,10 @@ def _exp_noweight(cfg, threads):
             {"weight_window_halfwidth": K ** cell["delta"]},
         )
 
-    return _run_cells(cells, work, "noweight", threads)
+    return _run_cells(cells, work, "noweight")
 
 
-def _exp_variance(cfg, threads):
+def _exp_variance(cfg):
     from .eichler_selberg import diagonal_side, variance_window
 
     cells = []
@@ -398,7 +370,7 @@ def _exp_variance(cfg, threads):
         for n in _int_list(cfg, "n"):
             if math.gcd(n, N) != 1:
                 continue
-            T = float(cfg["T"]) if "T" in cfg else 2.0 * math.ceil(math.sqrt(n))
+            T = _float_scalar(cfg, "T") if "T" in cfg else 2.0 * math.ceil(math.sqrt(n))
             cells.append({"n": n, "N": N, "T": T})
 
     def work(cell):
@@ -410,10 +382,10 @@ def _exp_variance(cfg, threads):
             {"phi_tail_target": 1e-8},
         )
 
-    return _run_cells(cells, work, "variance", threads)
+    return _run_cells(cells, work, "variance")
 
 
-def _exp_arith_sum(cfg, threads):
+def _exp_arith_sum(cfg):
     from .class_numbers import admissible_n0, count_A
 
     cells = [
@@ -435,10 +407,10 @@ def _exp_arith_sum(cfg, threads):
         outputs["a_count_ratio"] = count_A(N, n, n0) / n if n0 is not None else None
         return outputs, {"t_range": [-tmax, tmax]}
 
-    return _run_cells(cells, work, "arith-sum", threads)
+    return _run_cells(cells, work, "arith-sum")
 
 
-def _exp_discrepancy(cfg, threads):
+def _exp_discrepancy(cfg):
     from .spectral import (chebyshev_moment, discrepancy, empirical_mu_star,
                            plancherel_measure, trace_discrepancy_bound)
 
@@ -463,10 +435,10 @@ def _exp_discrepancy(cfg, threads):
         }
         return outputs, {"newton_digits": 40}
 
-    return _run_cells(cells, work, "discrepancy", threads)
+    return _run_cells(cells, work, "discrepancy")
 
 
-def _exp_orbital(cfg, threads):
+def _exp_orbital(cfg):
     from .petersson import orbital_integral_A
 
     cells = [
@@ -484,7 +456,7 @@ def _exp_orbital(cfg, threads):
             {"refinement_tolerance": 1e-7},
         )
 
-    return _run_cells(cells, work, "orbital", threads)
+    return _run_cells(cells, work, "orbital")
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +466,7 @@ def _exp_orbital(cfg, threads):
 def _verify_checks() -> List[Tuple[str, dict, float, float]]:
     """(name, parameters, observed, tolerance) with observed <= tolerance on
     a healthy build.  A deterministic subset of the acceptance suite, cheap
-    enough to run repeatedly for cache and threading validation."""
+    enough to run repeatedly for cache validation."""
     from .class_numbers import r3, r3_from_hurwitz
     from .eichler_selberg import diagonal_side, trace_new, variance_window
     from .kloosterman import kloosterman_sum, weil_bound
@@ -544,7 +516,7 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
     return checks
 
 
-def _exp_verify(cfg, threads):
+def _exp_verify(cfg):
     scope = cfg.get("scope", "quick")
     if scope == "full":
         import pytest
@@ -569,26 +541,34 @@ def _exp_verify(cfg, threads):
         )
 
     cells = [{"check": name} for name in checks]
-    return _run_cells(cells, work, "verify", threads)
+    return _run_cells(cells, work, "verify")
 
 
+# each driver with the config keys it reads; the CLI keys are allowed everywhere
 _DRIVERS = {
-    "trace": _exp_trace,
-    "petersson": _exp_petersson,
-    "bessel-sum": _exp_bessel_sum,
-    "noweight": _exp_noweight,
-    "variance": _exp_variance,
-    "arith-sum": _exp_arith_sum,
-    "discrepancy": _exp_discrepancy,
-    "orbital": _exp_orbital,
-    "verify": _exp_verify,
+    "trace": (_exp_trace, {"kind", "N", "k", "n"}),
+    "petersson": (_exp_petersson, {"kind", "N", "k", "m", "n"}),
+    "bessel-sum": (_exp_bessel_sum, {"K", "delta", "x"}),
+    "noweight": (_exp_noweight, {"delta", "N", "n"}),
+    "variance": (_exp_variance, {"N", "n", "T"}),
+    "arith-sum": (_exp_arith_sum, {"N", "n"}),
+    "discrepancy": (_exp_discrepancy, {"N", "k", "p"}),
+    "orbital": (_exp_orbital, {"k", "t"}),
+    "verify": (_exp_verify, {"scope"}),
 }
+_CLI_KEYS = {"experiment", "out", "csv", "threads"}
 
 
 def run_experiment(name: str, config: Dict[str, str], threads: int = 1) -> List[ExperimentRecord]:
+    """Run one experiment sweep.  `threads` is accepted for compatibility and
+    has no effect: cells run sequentially."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
-    return _DRIVERS[name](config, threads)
+    driver, keys = _DRIVERS[name]
+    unknown = sorted(set(config) - keys - _CLI_KEYS)
+    if unknown:
+        raise ConfigError(f"{name}: unknown config key(s) {unknown}; it reads {sorted(keys)}")
+    return driver(config)
 
 
 # ---------------------------------------------------------------------------
@@ -625,7 +605,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--config", help="flat key = value config file")
     ap.add_argument("--out", help="also write JSONL records to this file")
     ap.add_argument("--csv", help="also write a flat CSV to this file")
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     args = ap.parse_args(argv)
 
     try:
@@ -637,8 +617,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"config names experiment {cfg['experiment']!r} but "
                 f"{args.experiment!r} was requested"
             )
-        threads = args.threads if args.threads else int(cfg.get("threads", "1"))
-        records = run_experiment(args.experiment, cfg, threads)
+        records = run_experiment(args.experiment, cfg)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

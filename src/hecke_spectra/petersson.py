@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from math import lgamma
-from typing import List
+from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import jv
@@ -77,6 +77,7 @@ def _c_stop(nu: int, x0: float, step: int, g0: int, target: float):
 
 @dataclass
 class _Task:
+    nu: int          # Bessel order k - 1
     step: int        # c runs over multiples of this
     m_eff: int
     n: int
@@ -87,34 +88,29 @@ class _Task:
     acc: float = 0.0
 
 
-def _run_c_sums(k: int, tasks: List[_Task]) -> None:
-    """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_{k-1}(x0/c)
-    into each task, sharing the Kloosterman unit tables across tasks per c."""
-    nu = k - 1
+def _run_c_sums(tasks: List[_Task]) -> None:
+    """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
+    into each task: one walk over c for all tasks, one jv call per c, and the
+    Kloosterman unit tables of each c shared by every task that needs them."""
     for t in tasks:
         t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
         g0 = math.gcd(t.m_eff, t.n)
         target = 1e-12 / max(abs(t.weight), 1e-6)
-        t.c_stop, t.tail = _c_stop(nu, t.x0, t.step, g0, target)
-    c_max = max(t.c_stop for t in tasks)
+        t.c_stop, t.tail = _c_stop(t.nu, t.x0, t.step, g0, target)
+    c_max = max((t.c_stop for t in tasks), default=0)
     for c in range(1, c_max + 1):
         active = [t for t in tasks if c % t.step == 0 and c <= t.c_stop]
         if not active:
             continue
-        xs = np.array([t.x0 / c for t in active])
-        js = jv(nu, xs)
+        js = jv([t.nu for t in active], [t.x0 / c for t in active])
         for t, j in zip(active, js):
             t.acc += kloosterman_sum_fast(t.m_eff, t.n, c) / c * float(j)
 
 
-def delta_full(k: int, N: int, m: int, n: int) -> PeterssonResult:
-    """delta(m,n) + 2 pi (-1)^{k/2} sum_{c = 0 mod N} S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c)."""
+def _full_cell(k: int, N: int, m: int, n: int):
+    """(diagonal, tasks, l_tail, l_max) of delta_full(k, N, m, n): one task."""
     _check_kn(k, N, m, n)
-    task = _Task(step=N, m_eff=m, n=n, weight=1.0)
-    _run_c_sums(k, [task])
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    value = (1.0 if m == n else 0.0) + 2.0 * math.pi * sign * task.acc
-    return PeterssonResult(k, N, m, n, value, task.tail, task.c_stop, 1)
+    return 1.0 if m == n else 0.0, [_Task(k - 1, N, m, n, 1.0)], 0.0, 1
 
 
 def _prime_lattice(primes, bound: int) -> list:
@@ -160,10 +156,9 @@ def _single_l_tail(nu: int, x0: float, step: int, g0: int) -> float:
     return osc + _exp_tail(nu, x0, C, step, g0)
 
 
-def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
-    """Newform-projected Petersson average: sum over LM = N of (mu(L)/L)
-    sum_{l | L^inf} (1/l) delta_full(k, M, m l^2, n), with the l-sum cut at
-    10^4 and its tail certified from the sparse-lattice envelope."""
+def _new_cell(k: int, N: int, m: int, n: int):
+    """(diagonal, tasks, l_tail, l_max) of delta_new(k, N, m, n): one task per
+    enumerated l, and the certified tail of the l-sum beyond them."""
     _check_kn(k, N, m, n)
     if mobius(N) == 0:
         raise ValueError("delta_new: N must be squarefree")
@@ -172,7 +167,6 @@ def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
     nu = k - 1
     g0 = math.gcd(m, n)
     tasks = []
-    weights = []
     l_tail = 0.0
     l_max = 1
     for L in divisors(N):
@@ -182,9 +176,7 @@ def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
         lattice = _prime_lattice(primes, _L_ENUM)
         for l in lattice:
             if l <= _L_MAX:
-                w = wL / l
-                tasks.append(_Task(step=max(M, 1), m_eff=m * l * l, n=n, weight=w))
-                weights.append(w)
+                tasks.append(_Task(nu, max(M, 1), m * l * l, n, wL / l))
                 l_max = max(l_max, l)
             else:
                 x0 = 4.0 * math.pi * l * math.sqrt(m * n)
@@ -201,16 +193,39 @@ def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
             for p in primes:
                 lat_quarter /= 1.0 - p ** -0.25
             l_tail += head * lh ** 0.25 * lat_quarter
-    _run_c_sums(k, tasks)
-    sign = -1.0 if (k // 2) % 2 else 1.0
     # the diagonal survives only at l = 1 (l > 1 shares a factor with N,
     # which is coprime to n), giving delta(m,n) phi(N)/N
-    value = (euler_phi(N) / N if m == n else 0.0) + 2.0 * math.pi * sign * math.fsum(
-        t.weight * t.acc for t in tasks
-    )
-    bound = math.fsum(abs(t.weight) * t.tail for t in tasks) + l_tail
-    c_max = max(t.c_stop for t in tasks)
-    return PeterssonResult(k, N, m, n, value, bound, c_max, l_max)
+    return euler_phi(N) / N if m == n else 0.0, tasks, l_tail, l_max
+
+
+def petersson_cells(kind: str, cells: Sequence[Tuple[int, int, int, int]]) -> List[PeterssonResult]:
+    """delta_full (kind 'full') or delta_new (kind 'new') of every (k, N, m, n)
+    cell, from one c-walk shared by all the cells' tasks."""
+    if kind not in ("full", "new"):
+        raise ValueError(f"petersson_cells: kind must be 'full' or 'new', got {kind!r}")
+    build = _full_cell if kind == "full" else _new_cell
+    plans = [build(*cell) for cell in cells]
+    _run_c_sums([t for _, tasks, _, _ in plans for t in tasks])
+    results = []
+    for (k, N, m, n), (diagonal, tasks, l_tail, l_max) in zip(cells, plans):
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        value = diagonal + 2.0 * math.pi * sign * math.fsum(t.weight * t.acc for t in tasks)
+        bound = math.fsum(abs(t.weight) * t.tail for t in tasks) + l_tail
+        c_max = max(t.c_stop for t in tasks)
+        results.append(PeterssonResult(k, N, m, n, value, bound, c_max, l_max))
+    return results
+
+
+def delta_full(k: int, N: int, m: int, n: int) -> PeterssonResult:
+    """delta(m,n) + 2 pi (-1)^{k/2} sum_{c = 0 mod N} S(m,n;c)/c J_{k-1}(4 pi sqrt(mn)/c)."""
+    return petersson_cells("full", [(k, N, m, n)])[0]
+
+
+def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
+    """Newform-projected Petersson average: sum over LM = N of (mu(L)/L)
+    sum_{l | L^inf} (1/l) delta_full(k, M, m l^2, n), with the l-sum cut at
+    10^4 and its tail certified from the sparse-lattice envelope."""
+    return petersson_cells("new", [(k, N, m, n)])[0]
 
 
 def _check_window(k: int, N: int, m: int, n: int) -> None:

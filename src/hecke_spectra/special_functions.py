@@ -23,8 +23,8 @@ from math import lgamma
 import mpmath as mp
 import numpy as np
 
-# mp.workdps mutates the shared mpmath context; concurrent entry from the
-# harness thread pool can shift precision mid-computation (observed as a
+# mp.workdps mutates the shared mpmath context; concurrent entry from a
+# library caller's threads can shift precision mid-computation (observed as a
 # tanh-sinh node collapsing onto an endpoint singularity).  Every workdps
 # block in the package takes this lock first.
 MP_CONTEXT_LOCK = threading.Lock()

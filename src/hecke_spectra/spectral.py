@@ -7,7 +7,6 @@ certified discrepancy lower bounds from single moments.
 from __future__ import annotations
 
 import math
-import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache

@@ -1,6 +1,7 @@
 import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +92,20 @@ def test_unknown_experiment_and_bad_config():
         run_experiment("trace", {"n": "abc"})
     with pytest.raises(ConfigError):
         run_experiment("trace", {})
+    with pytest.raises(ConfigError, match="kind"):
+        run_experiment("petersson", {"kind": "newform", "n": "1"})
+    with pytest.raises(ConfigError, match="empty"):
+        run_experiment("trace", {"n": "5..1"})
+    with pytest.raises(ConfigError, match="'nn'"):
+        run_experiment("trace", {"nn": "2", "n": "2"})
+
+
+def test_shipped_configs_use_known_keys():
+    root = Path(__file__).resolve().parents[1]
+    for path in sorted((root / "configs").glob("*.cfg")):
+        cfg = parse_config(path.read_text())
+        _, keys = harness._DRIVERS[cfg["experiment"]]
+        assert set(cfg) <= keys | harness._CLI_KEYS, path.name
 
 
 def test_thread_count_does_not_change_outputs():
@@ -126,6 +141,13 @@ def test_cli_config_error_exit_code(tmp_path):
     cfgfile.write_text("nonsense\n")
     assert harness.main(["trace", "--config", str(cfgfile)]) == 2
     assert harness.main(["trace", "--config", str(tmp_path / "missing.cfg")]) == 2
+    for experiment, text in [
+        ("petersson", "kind = newform\nn = 1\n"),
+        ("trace", "n = 5..1\n"),
+        ("trace", "n = 2\nnn = 3\n"),
+    ]:
+        cfgfile.write_text(text)
+        assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text
 
 
 def test_cli_csv_emitter(tmp_path):

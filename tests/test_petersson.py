@@ -9,6 +9,7 @@ from hecke_spectra.petersson import (
     maint_main_terms,
     maint_residual,
     orbital_integral_A,
+    petersson_cells,
 )
 
 
@@ -59,6 +60,22 @@ def test_truncation_consistency():
         for c in range(r.c_max + 1, 2 * r.c_max + 1)
     )
     assert 2.0 * math.pi * abs(extra) <= r.truncation_bound + 1e-12
+
+
+def test_shared_walk_matches_one_call_per_cell():
+    # one c-walk over many cells must give each cell exactly what its own
+    # walk gives: same terms, same c order, same certificates
+    for kind, fn, cells in [
+        ("full", delta_full, [(k, 1, 1, n) for k in (4, 12) for n in (1, 2, 5)]),
+        ("new", delta_new, [(k, 7, 1, n) for k in (48, 64) for n in (1, 2)]),
+    ]:
+        # dataclass equality: value, truncation_bound, c_max and l_max exactly
+        assert petersson_cells(kind, cells) == [fn(*cell) for cell in cells], kind
+
+
+def test_petersson_cells_rejects_unknown_kind():
+    with pytest.raises(ValueError):
+        petersson_cells("newform", [(12, 1, 1, 1)])
 
 
 def test_delta_new_level_one_reduces_to_full():
