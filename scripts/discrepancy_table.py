@@ -7,8 +7,8 @@ Usage: python3 scripts/discrepancy_table.py [--p 2] [--kmax 120]
 
 import argparse
 
-from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.spectral import (
+    RecoveryRangeError,
     chebyshev_moment,
     discrepancy,
     empirical_mu_star,
@@ -27,10 +27,11 @@ def main():
     ref = plancherel_measure(args.p)
     print(f"{'k':>5} {'dim':>4} {'discrepancy':>12} {'moment-2 gap':>13} {'trace bound':>12}")
     for k in range(12, args.kmax + 1, 4):
-        dim = round(trace_new(1, k, args.N).total)
-        if dim < 1 or dim > 40:
+        try:
+            mu = empirical_mu_star(k, args.N, args.p)
+        except RecoveryRangeError:  # empty space, or dim past the recovery limits
             continue
-        mu = empirical_mu_star(k, args.N, args.p)
+        dim = len(mu.atoms)
         disc = discrepancy(mu, ref)
         gap = chebyshev_moment(mu, 2) - chebyshev_moment(ref, 2)
         tb = trace_discrepancy_bound(args.p, k, args.N)

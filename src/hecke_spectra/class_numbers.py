@@ -2,7 +2,10 @@
 independent routes, r3 lattice counts, and congruence-restricted four-square
 counts.
 
-All arithmetic in this module is exact (ints and Fractions).  The class
+All arithmetic in this module is exact (ints and Fractions).  The one float
+step is the r3 table: the cube of the square-count series is taken with
+numpy's FFT, rounded to integers, and rejected unless every entry lies
+within 1/4 of its rounding, so the table is still exact.  The class
 number convention: h(D) counts reduced primitive positive-definite binary
 quadratic forms (a,b,c) of discriminant D = b^2-4ac, i.e. |b| <= a <= c,
 gcd(a,b,c) = 1, with b >= 0 whenever |b| = a or a = c.  The weighted count
@@ -19,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.signal import fftconvolve
 
 from .arithmetic import divisors, factor, kronecker_chi, mobius, sigma
 
@@ -37,6 +39,8 @@ class ClassNumberRecord:
             raise ValueError("inconsistent ClassNumberRecord")
 
 
+MAX_ABS_DISC = 10 ** 7  # class numbers are supported for |D| <= MAX_ABS_DISC
+
 _table_lock = threading.Lock()
 _h_table: np.ndarray | None = None  # _h_table[m] = h(-m) for m <= len-1
 
@@ -46,7 +50,7 @@ def _check_disc(D: int) -> None:
         raise ValueError(f"class_number: D = {D} must be negative")
     if D % 4 not in (0, 1):
         raise ValueError(f"class_number: D = {D} not 0 or 1 mod 4")
-    if -D > 10 ** 7:
+    if -D > MAX_ABS_DISC:
         raise ValueError("class_number: |D| <= 1e7 supported")
 
 
@@ -162,21 +166,29 @@ _r3_table: np.ndarray | None = None
 
 
 def build_r3_table(limit: int) -> np.ndarray:
-    """r3(m) for all m <= limit by convolving one-dimensional square counts."""
+    """r3(m) for all m <= limit: the cube of the one-dimensional square
+    counts, by one real FFT at a power-of-two length above 3*limit so that
+    nothing wraps onto m <= limit."""
     r1 = np.zeros(limit + 1)
     r1[0] = 1.0
     squares = np.arange(1, math.isqrt(limit) + 1) ** 2
     r1[squares] = 2.0
-    r2 = fftconvolve(r1, r1)[: limit + 1]
-    r3_float = fftconvolve(r2, r1)[: limit + 1]
-    return np.rint(r3_float).astype(np.int64)
+    size = 1 << (3 * limit).bit_length()
+    r3_float = np.fft.irfft(np.fft.rfft(r1, size) ** 3, size)[: limit + 1]
+    r3_int = np.rint(r3_float)
+    if np.max(np.abs(r3_float - r3_int)) >= 0.25:
+        raise ArithmeticError(f"build_r3_table({limit}): FFT rounding error >= 1/4")
+    return r3_int.astype(np.int64)
 
 
 def ensure_r3_table(limit: int) -> np.ndarray:
+    """Grow the shared r3 table to cover m <= limit, rounding the limit up
+    to a power of two (at least 4096) so a sweep of growing n rebuilds it
+    only logarithmically often."""
     global _r3_table
     with _r3_lock:
         if _r3_table is None or len(_r3_table) <= limit:
-            _r3_table = build_r3_table(limit)
+            _r3_table = build_r3_table(max(4096, 1 << (limit - 1).bit_length()))
         return _r3_table
 
 

@@ -199,13 +199,17 @@ def _hyperbolic_coeff(n: int, k: int, N: int) -> Fraction:
     return acc
 
 
-def _check_trace_args(n: int, k: int, N: int) -> None:
+def check_trace_cell(kind: str, n: int, k: int, N: int) -> None:
+    """Raise ValueError unless trace_full (kind 'full') or trace_new (kind
+    'new') accepts (n, k, N)."""
     if n < 1 or N < 1:
         raise ValueError("trace: n >= 1 and N >= 1 required")
     if k < 2 or k % 2:
         raise ValueError("trace: even k >= 2 required")
     if math.gcd(n, N) != 1:
         raise ValueError(f"trace: gcd(n, N) = {math.gcd(n, N)} > 1 not supported")
+    if kind == "new" and mobius(N) == 0:
+        raise ValueError("trace_new: N must be squarefree")
 
 
 def _assemble(n, k, N, tag, c1: Fraction, t2: float, c3: Fraction, c4: Fraction) -> TraceBreakdown:
@@ -218,7 +222,7 @@ def _assemble(n, k, N, tag, c1: Fraction, t2: float, c3: Fraction, c4: Fraction)
 
 def trace_full(n: int, k: int, N: int) -> TraceBreakdown:
     """Normalized trace of T_n on S_k(N), gcd(n,N)=1."""
-    _check_trace_args(n, k, N)
+    check_trace_cell("full", n, k, N)
     c1 = Fraction(k - 1, 12) * nu_index(N) if _is_square(n) else Fraction(0)
     t2 = _elliptic_term(n, k, N, tilde=False)
     c3 = _hyperbolic_coeff(n, k, N)
@@ -242,9 +246,7 @@ def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
     disagreement is an internal error, not a return value.  At N = 1 that
     cross-route is the same computation (every local weight is 1), so it is
     skipped."""
-    _check_trace_args(n, k, N)
-    if mobius(N) == 0:
-        raise ValueError("trace_new: N must be squarefree")
+    check_trace_cell("new", n, k, N)
     direct = _trace_new_direct(n, k, N)
     if N == 1:
         return direct

@@ -263,12 +263,21 @@ def _run_cells(cells: Sequence[dict], work: Callable[[dict], Tuple[dict, dict]],
     return [one(c) for c in cells]
 
 
+def _validate(experiment: str, cells: Sequence[dict], check: Callable[[dict], None]) -> None:
+    """Reject a sweep before it runs if the library rejects any of its cells."""
+    for cell in cells:
+        try:
+            check(cell)
+        except ValueError as exc:
+            raise ConfigError(f"{experiment} cell {cell}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # experiment drivers
 
 
 def _exp_trace(cfg):
-    from .eichler_selberg import trace_full, trace_new
+    from .eichler_selberg import check_trace_cell, trace_full, trace_new
 
     kind = cfg.get("kind", "new")
     if kind not in ("new", "full"):
@@ -281,6 +290,7 @@ def _exp_trace(cfg):
         for n in _int_list(cfg, "n")
         if math.gcd(n, N) == 1
     ]
+    _validate("trace", cells, lambda c: check_trace_cell(kind, c["n"], c["k"], c["N"]))
 
     def work(cell):
         tb = fn(cell["n"], cell["k"], cell["N"])
@@ -295,7 +305,7 @@ def _exp_trace(cfg):
 
 
 def _exp_petersson(cfg):
-    from .petersson import petersson_cells
+    from .petersson import check_petersson_cell, petersson_cells
 
     kind = cfg.get("kind", "full")
     if kind not in ("full", "new"):
@@ -308,6 +318,8 @@ def _exp_petersson(cfg):
         for mm in m
         for n in _int_list(cfg, "n")
     ]
+    _validate("petersson", cells,
+              lambda c: check_petersson_cell(kind, c["k"], c["N"], c["m"], c["n"]))
     results = {
         (r.k, r.N, r.m, r.n): r
         for r in petersson_cells(kind, [(c["k"], c["N"], c["m"], c["n"]) for c in cells])

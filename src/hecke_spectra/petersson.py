@@ -50,6 +50,17 @@ def _check_kn(k: int, N: int, m: int, n: int) -> None:
         raise ValueError("petersson: N, m, n must be positive")
 
 
+def check_petersson_cell(kind: str, k: int, N: int, m: int, n: int) -> None:
+    """Raise ValueError unless delta_full (kind 'full') or delta_new (kind
+    'new') accepts the cell (k, N, m, n)."""
+    _check_kn(k, N, m, n)
+    if kind == "new":
+        if mobius(N) == 0:
+            raise ValueError("delta_new: N must be squarefree")
+        if math.gcd(m * n, N) != 1:
+            raise ValueError("delta_new: gcd(mn, N) = 1 required")
+
+
 def _exp_tail(nu: int, x0: float, C: float, step: int, g0: int) -> float:
     """Bound on 2 pi sum_{c >= C, step | c} |S(m,n;c)/c| |J_nu(x0/c)|,
     valid when x0/C < nu (series-head envelope for J, sigma_0(c) <= 2 sqrt c)."""
@@ -159,11 +170,7 @@ def _single_l_tail(nu: int, x0: float, step: int, g0: int) -> float:
 def _new_cell(k: int, N: int, m: int, n: int):
     """(diagonal, tasks, l_tail, l_max) of delta_new(k, N, m, n): one task per
     enumerated l, and the certified tail of the l-sum beyond them."""
-    _check_kn(k, N, m, n)
-    if mobius(N) == 0:
-        raise ValueError("delta_new: N must be squarefree")
-    if math.gcd(m * n, N) != 1:
-        raise ValueError("delta_new: gcd(mn, N) = 1 required")
+    check_petersson_cell("new", k, N, m, n)
     nu = k - 1
     g0 = math.gcd(m, n)
     tasks = []

@@ -154,18 +154,32 @@ _NEWTON_DPS = 40
 _COEFF_THRESHOLD = mp.mpf(10) ** 8
 
 
+class RecoveryRangeError(ValueError):
+    """S_k(N)* is empty, or its dimension is past what empirical_mu_star can
+    recover from traces."""
+
+
 def empirical_mu_star(k: int, N: int, p: int):
     """Atoms of the eigenvalue measure of T_p on the newform space, recovered
-    from the normalized traces at 1, p, ..., p^dim via Newton's identities."""
+    from the normalized traces at 1, p, ..., p^dim via Newton's identities.
+
+    The trace at p^dim needs class numbers for |D| <= 4 p^dim, so dim is
+    limited both by 40 and by 4 p^dim <= 1e7 (dim <= 21 at p = 2)."""
+    from .class_numbers import MAX_ABS_DISC
     from .eichler_selberg import trace_new
 
     if math.gcd(p, N) != 1:
         raise ValueError("empirical_mu_star: gcd(p, N) = 1 required")
     d = round(trace_new(1, k, N).total)
     if d < 1:
-        raise ValueError(f"empirical_mu_star: S_{k}({N})* is empty")
+        raise RecoveryRangeError(f"empirical_mu_star: S_{k}({N})* is empty")
     if d > 40:
-        raise ValueError(f"empirical_mu_star: dim {d} > 40 is out of recovery range")
+        raise RecoveryRangeError(f"empirical_mu_star: dim {d} > 40 is out of recovery range")
+    if 4 * p ** d > MAX_ABS_DISC:
+        raise RecoveryRangeError(
+            f"empirical_mu_star: 4*p^dim <= 1e7 required (the trace at p^dim needs "
+            f"class numbers for |D| <= 4*p^dim), got 4*{p}^{d}"
+        )
     c = [trace_new(p ** m, k, N).total for m in range(d + 1)]
     with MP_CONTEXT_LOCK, mp.workdps(_NEWTON_DPS):
         s = _power_sums_from_chebyshev(c)

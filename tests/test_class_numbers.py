@@ -1,12 +1,20 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from hecke_spectra import class_numbers
 from hecke_spectra.class_numbers import (
     admissible_n0,
+    build_r3_table,
     class_number,
     count_A,
+    ensure_table,
     h_w,
     hurwitz_H,
     r3,
@@ -92,6 +100,51 @@ def test_gauss_identity():
     # r3(n) expressed through Hurwitz class numbers, exact integers
     for n in range(1, 2000):
         assert r3(n) == r3_from_hurwitz(n)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3, 150])
+def test_r3_table_brute_force(limit):
+    table = build_r3_table(limit)
+    assert len(table) == limit + 1
+    assert [int(v) for v in table] == [brute_r3(n) for n in range(limit + 1)]
+
+
+@pytest.mark.parametrize("limit", [4132, 40132])
+def test_r3_table_gauss_sample(limit):
+    table = build_r3_table(limit)
+    assert len(table) == limit + 1
+    ensure_table(4 * limit)  # class numbers for r3_from_hurwitz by lookup
+    for n in np.unique(np.linspace(1, limit, 300).astype(int)):
+        assert int(table[n]) == r3_from_hurwitz(int(n)), n
+
+
+def test_r3_table_grows_geometrically(monkeypatch):
+    builds = []
+
+    def counting_build(limit):
+        builds.append(limit)
+        return build_r3_table(limit)
+
+    monkeypatch.setattr(class_numbers, "_r3_table", None)
+    monkeypatch.setattr(class_numbers, "build_r3_table", counting_build)
+    for n in range(1, 2001, 2):
+        count_A(2, n, 1)
+    # limits 4096 and 8192 cover every 4n <= 8000
+    assert builds == [4096, 8192]
+
+
+def test_trace_layer_imports_no_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = (
+        "import sys\n"
+        "import hecke_spectra.harness, hecke_spectra.eichler_selberg, hecke_spectra.class_numbers\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def brute_count_A(N, n, n0):

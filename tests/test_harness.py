@@ -145,6 +145,8 @@ def test_cli_config_error_exit_code(tmp_path):
         ("petersson", "kind = newform\nn = 1\n"),
         ("trace", "n = 5..1\n"),
         ("trace", "n = 2\nnn = 3\n"),
+        ("petersson", "kind = new\nN = 7\nn = 7\n"),
+        ("trace", "kind = new\nN = 4\nn = 3\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text

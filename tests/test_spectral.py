@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -86,6 +87,14 @@ def test_empirical_roundtrip_moments():
 def test_empirical_requires_coprime():
     with pytest.raises(ValueError):
         empirical_mu_star(12, 11, 11)
+
+
+def test_empirical_rejects_dim_past_class_number_limit():
+    # dim S_276(1) = 23 <= 40, but the trace at 2^23 needs |D| <= 4*2^23 > 1e7
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="1e7"):
+        empirical_mu_star(276, 1, 2)
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_nu_moment_zeroth():
