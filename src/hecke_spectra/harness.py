@@ -26,7 +26,7 @@ from . import __version__
 CACHE_ENV = "HECKE_SPECTRA_CACHE"
 
 EXPERIMENTS = (
-    "trace", "petersson", "bessel-sum", "noweight", "variance",
+    "trace", "petersson", "maint", "bessel-sum", "noweight", "variance",
     "arith-sum", "discrepancy", "orbital", "verify",
 )
 
@@ -335,6 +335,36 @@ def _exp_petersson(cfg):
     return _run_cells(cells, work, "petersson")
 
 
+def _exp_maint(cfg):
+    from .petersson import check_petersson_cell, maint_cells, window_n
+
+    cells = []
+    for k in _int_list(cfg, "k"):
+        for N in _int_list(cfg, "N", "1,2,3,5,6"):
+            try:
+                n = window_n(k, N)
+            except ValueError as exc:
+                raise ConfigError(f"maint cell k={k}, N={N}: {exc}") from None
+            cells.append({"k": k, "N": N, "m": 1, "n": n})
+    _validate("maint", cells,
+              lambda c: check_petersson_cell("new", c["k"], c["N"], c["m"], c["n"]))
+    results = {
+        (r.k, r.N): (r, main)
+        for r, main in maint_cells([(c["k"], c["N"], c["m"], c["n"]) for c in cells])
+    }
+
+    def work(cell):
+        r, main = results[cell["k"], cell["N"]]
+        residual = r.value - main
+        return (
+            {"residual": residual, "scaled_residual": residual * math.sqrt(cell["k"]),
+             "main_term": main, "ratio": abs(residual) / abs(main)},
+            {"c_max": r.c_max, "l_max": r.l_max, "tail_bound": r.truncation_bound},
+        )
+
+    return _run_cells(cells, work, "maint")
+
+
 def _exp_bessel_sum(cfg):
     from .special_functions import weighted_bessel_order_sum
 
@@ -423,8 +453,8 @@ def _exp_arith_sum(cfg):
 
 
 def _exp_discrepancy(cfg):
-    from .spectral import (chebyshev_moment, discrepancy, empirical_mu_star,
-                           plancherel_measure, trace_discrepancy_bound)
+    from .spectral import (check_discrepancy_cell, chebyshev_moment, discrepancy,
+                           empirical_mu_star, plancherel_measure, trace_discrepancy_bound)
 
     cells = [
         {"k": k, "N": N, "p": p}
@@ -433,6 +463,7 @@ def _exp_discrepancy(cfg):
         for p in _int_list(cfg, "p", "2")
         if math.gcd(p, N) == 1
     ]
+    _validate("discrepancy", cells, lambda c: check_discrepancy_cell(c["k"], c["N"], c["p"]))
 
     def work(cell):
         k, N, p = cell["k"], cell["N"], cell["p"]
@@ -560,6 +591,7 @@ def _exp_verify(cfg):
 _DRIVERS = {
     "trace": (_exp_trace, {"kind", "N", "k", "n"}),
     "petersson": (_exp_petersson, {"kind", "N", "k", "m", "n"}),
+    "maint": (_exp_maint, {"k", "N"}),
     "bessel-sum": (_exp_bessel_sum, {"K", "delta", "x"}),
     "noweight": (_exp_noweight, {"delta", "N", "n"}),
     "variance": (_exp_variance, {"N", "n", "T"}),

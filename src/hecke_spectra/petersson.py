@@ -261,9 +261,33 @@ def maint_main_terms(k: int, N: int, m: int, n: int) -> float:
     return diag + 2.0 * math.pi * sign * pref * bess.value
 
 
+def window_n(k: int, N: int) -> int:
+    """n of the transition-window cell (k, N, 1, n) of acceptance criterion 3:
+    the first n prime to N from the first Bessel maximum x ~ k + 0.81 k^(1/3)
+    on with |4 pi sqrt(n) - k| < 2 k^(1/3).  ValueError if the window holds
+    no such n."""
+    width = 2.0 * k ** (1.0 / 3.0)
+    n = max(1, round(((k + 0.8086 * k ** (1.0 / 3.0)) / (4.0 * math.pi)) ** 2))
+    while True:
+        x = 4.0 * math.pi * math.sqrt(n) - k
+        if x >= width:
+            raise ValueError(f"transition window of k={k} holds no n prime to N={N}")
+        if x > -width and math.gcd(n, N) == 1:
+            return n
+        n += 1
+
+
+def maint_cells(cells: Sequence[Tuple[int, int, int, int]]) -> List[Tuple[PeterssonResult, float]]:
+    """(delta_new, maint_main_terms) of every transition-window (k, N, m, n)
+    cell, from one c-walk shared by all the cells."""
+    mains = [maint_main_terms(*cell) for cell in cells]  # checks every cell before the walk
+    return list(zip(petersson_cells("new", cells), mains))
+
+
 def maint_residual(k: int, N: int, m: int, n: int) -> float:
     """delta_new minus its transition-window main terms."""
-    return delta_new(k, N, m, n).value - maint_main_terms(k, N, m, n)
+    r, main = maint_cells([(k, N, m, n)])[0]
+    return r.value - main
 
 
 def _orbital_quadrature(t: float, k: int, half_width: float, per_wave: int) -> complex:

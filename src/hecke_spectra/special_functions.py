@@ -29,9 +29,7 @@ import numpy as np
 # block in the package takes this lock first.
 MP_CONTEXT_LOCK = threading.Lock()
 
-SEED_HALFWIDTH = Fraction(1, 200)   # support half-width of the seed bump g
-_W = Fraction(1, 800)               # box width: 8-fold convolution spans 1/100
-_SPLINE_ORDER = 16                  # g*g is a 16-fold box convolution
+_SPLINE_ORDER = 16  # phi-hat is a 16-fold box convolution of width 1/800
 
 
 @dataclass(frozen=True)
@@ -52,12 +50,6 @@ class TestFunctionPsi:
     """Normalized bump c*exp(-1/(1-t^2)) on (-1,1)."""
 
     normalization: float
-
-
-@dataclass(frozen=True)
-class TestFunctionPhi:
-    seed_halfwidth: Fraction
-    spline_order: int
 
 
 def _log_series_head(nu: int, x: float) -> float:
@@ -206,10 +198,6 @@ def psi_eval(t: float) -> float:
     if abs(t) >= 1.0:
         return 0.0
     return _psi().normalization * math.exp(-1.0 / (1.0 - t * t))
-
-
-def phi_spec() -> TestFunctionPhi:
-    return TestFunctionPhi(SEED_HALFWIDTH, _SPLINE_ORDER)
 
 
 def phi_eval(x: float) -> float:

@@ -159,9 +159,9 @@ class RecoveryRangeError(ValueError):
     recover from traces."""
 
 
-def empirical_mu_star(k: int, N: int, p: int):
-    """Atoms of the eigenvalue measure of T_p on the newform space, recovered
-    from the normalized traces at 1, p, ..., p^dim via Newton's identities.
+def check_discrepancy_cell(k: int, N: int, p: int) -> int:
+    """dim S_k(N)* if empirical_mu_star(k, N, p) can recover its measure;
+    ValueError otherwise.
 
     The trace at p^dim needs class numbers for |D| <= 4 p^dim, so dim is
     limited both by 40 and by 4 p^dim <= 1e7 (dim <= 21 at p = 2)."""
@@ -180,6 +180,16 @@ def empirical_mu_star(k: int, N: int, p: int):
             f"empirical_mu_star: 4*p^dim <= 1e7 required (the trace at p^dim needs "
             f"class numbers for |D| <= 4*p^dim), got 4*{p}^{d}"
         )
+    return d
+
+
+def empirical_mu_star(k: int, N: int, p: int):
+    """Atoms of the eigenvalue measure of T_p on the newform space, recovered
+    from the normalized traces at 1, p, ..., p^dim via Newton's identities;
+    check_discrepancy_cell says which (k, N, p) it accepts."""
+    from .eichler_selberg import trace_new
+
+    d = check_discrepancy_cell(k, N, p)
     c = [trace_new(p ** m, k, N).total for m in range(d + 1)]
     with MP_CONTEXT_LOCK, mp.workdps(_NEWTON_DPS):
         s = _power_sums_from_chebyshev(c)

@@ -28,10 +28,10 @@ from hecke_spectra.eichler_selberg import (
 from hecke_spectra.kloosterman import kloosterman_sum, weil_bound
 from hecke_spectra.oracles import delta_tau, level_one_eigenform
 from hecke_spectra.petersson import (
-    delta_full,
-    maint_main_terms,
-    maint_residual,
+    maint_cells,
     orbital_integral_A,
+    petersson_cells,
+    window_n,
 )
 from hecke_spectra.special_functions import bessel_j, weighted_bessel_order_sum
 from hecke_spectra.spectral import (
@@ -66,48 +66,35 @@ def test_criterion_01_trace_oracles():
 
 def test_criterion_02_petersson_rank_one():
     tau = delta_tau(50)
-    base = delta_full(12, 1, 1, 1)
+    # the 50 rank-one cells and the 100 empty-space cells share one c-walk
+    rank_one = [(12, 1, 1, n) for n in range(1, 51)]
+    empty = [(k, 1, 1, n) for k in (4, 6, 8, 10, 14) for n in range(1, 21)]
+    results = petersson_cells("full", rank_one + empty)
+    base = results[0]
     worst = max(
-        abs(delta_full(12, 1, 1, n).value / base.value - tau.a(n) / n ** 5.5)
-        for n in range(1, 51)
+        abs(r.value / base.value - tau.a(r.n) / r.n ** 5.5) for r in results[:len(rank_one)]
     )
-    empty_ok = True
-    excess = 0.0
-    for k in (4, 6, 8, 10, 14):
-        for n in range(1, 21):
-            r = delta_full(k, 1, 1, n)
-            over = abs(r.value) - (r.truncation_bound + 1e-8)
-            excess = max(excess, over)
-            empty_ok = empty_ok and over <= 0.0
+    over = max(abs(r.value) - (r.truncation_bound + 1e-8) for r in results[len(rank_one):])
+    empty_ok = over <= 0.0
+    excess = max(0.0, over)
     report("criterion 2 (Petersson rank-one + empty space)",
            worst <= 1e-6 and empty_ok,
            f"max ratio error {worst:.3e} (tol 1e-6), empty-space excess {excess:.3e}")
 
 
-def _window_cell(k: int, N: int):
-    """m = 1 and n anchored at the first Bessel maximum x ~ k + 0.81 k^(1/3)."""
-    x_target = k + 0.8086 * k ** (1.0 / 3.0)
-    n = round((x_target / (4.0 * math.pi)) ** 2)
-    while math.gcd(n, N) != 1 or abs(4.0 * math.pi * math.sqrt(n) - k) >= 2.0 * k ** (1.0 / 3.0):
-        n += 1
-    return n
-
-
 def test_criterion_03_transition_main_terms():
+    # the 20 window cells share one c-walk
+    cells = [(k, N, 1, window_n(k, N)) for k in (500, 1000, 2000, 4000) for N in (1, 2, 3, 5, 6)]
     sups = {}
     ratio_ok = True
     worst_ratio = 0.0
-    for k in (500, 1000, 2000, 4000):
-        sup = 0.0
-        for N in (1, 2, 3, 5, 6):
-            n = _window_cell(k, N)
-            res = maint_residual(k, N, 1, n)
-            sup = max(sup, abs(res) * math.sqrt(k))
-            if k >= 1000:
-                ratio = abs(res) / abs(maint_main_terms(k, N, 1, n))
-                worst_ratio = max(worst_ratio, ratio)
-                ratio_ok = ratio_ok and ratio <= 0.2
-        sups[k] = sup
+    for (k, *_), (r, main) in zip(cells, maint_cells(cells)):
+        res = r.value - main
+        sups[k] = max(sups.get(k, 0.0), abs(res) * math.sqrt(k))
+        if k >= 1000:
+            ratio = abs(res) / abs(main)
+            worst_ratio = max(worst_ratio, ratio)
+            ratio_ok = ratio_ok and ratio <= 0.2
     slope = np.polyfit(np.log(list(sups)), np.log(list(sups.values())), 1)[0]
     ok = max(sups.values()) < 10.0 and slope <= 0.1 and ratio_ok
     report("criterion 3 (transition window residuals)", ok,

@@ -147,9 +147,27 @@ def test_cli_config_error_exit_code(tmp_path):
         ("trace", "n = 2\nnn = 3\n"),
         ("petersson", "kind = new\nN = 7\nn = 7\n"),
         ("trace", "kind = new\nN = 4\nn = 3\n"),
+        ("discrepancy", "k = 276\nN = 1\np = 2\n"),
+        ("discrepancy", "k = 14\nN = 1\np = 2\n"),
+        ("maint", "k = 4\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text
+
+
+def test_run_experiment_maint_residuals():
+    from hecke_spectra.petersson import delta_new, maint_main_terms, window_n
+
+    recs = run_experiment("maint", {"k": "48", "N": "1,7"})
+    assert [(r.parameters["k"], r.parameters["N"]) for r in recs] == [(48, 1), (48, 7)]
+    for r in recs:
+        k, N, m, n = (r.parameters[key] for key in ("k", "N", "m", "n"))
+        assert (m, n) == (1, window_n(k, N))
+        main = maint_main_terms(k, N, m, n)
+        assert r.outputs["residual"] == delta_new(k, N, m, n).value - main
+        assert r.outputs["main_term"] == main
+        assert r.outputs["scaled_residual"] == r.outputs["residual"] * math.sqrt(k)
+        assert r.provenance["truncation"]["c_max"] >= 1
 
 
 def test_cli_csv_emitter(tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hecke_spectra import petersson
 from hecke_spectra.oracles import delta_tau, level_one_eigenform
 from hecke_spectra.petersson import (
     delta_full,
@@ -10,6 +11,7 @@ from hecke_spectra.petersson import (
     maint_residual,
     orbital_integral_A,
     petersson_cells,
+    window_n,
 )
 
 
@@ -99,9 +101,28 @@ def test_maint_residual_small_in_window():
     assert abs(res) <= max(0.5 * abs(main), 5.0 / math.sqrt(k))
 
 
-def test_maint_rejects_outside_window():
-    with pytest.raises(ValueError):
+def test_maint_rejects_outside_window(monkeypatch):
+    def no_walk(tasks):
+        raise AssertionError("c-walk started for a cell outside the window")
+
+    monkeypatch.setattr(petersson, "_run_c_sums", no_walk)
+    with pytest.raises(ValueError, match="outside the transition window"):
         maint_residual(500, 1, 1, 10)
+
+
+def test_window_n_in_window_and_prime_to_level():
+    for k in (48, 500, 1000):
+        for N in (1, 2, 3, 5, 6, 7):
+            n = window_n(k, N)
+            assert math.gcd(n, N) == 1
+            assert abs(4.0 * math.pi * math.sqrt(n) - k) < 2.0 * k ** (1.0 / 3.0)
+
+
+def test_window_n_raises_when_window_empty():
+    # no n at all lies in the window of k = 4; at k = 14 its only n is even
+    for k, N in [(4, 1), (14, 2)]:
+        with pytest.raises(ValueError, match="holds no n"):
+            window_n(k, N)
 
 
 def test_orbital_integral_matches_closed_form():
