@@ -98,6 +98,17 @@ def euler_phi(n: IntLike) -> int:
     return out
 
 
+def carmichael_lambda(n: IntLike) -> int:
+    """Exponent of the unit group mod n: the least L >= 1 with x^L = 1 for
+    every unit x.  It divides euler_phi(n)."""
+    fn = _as_factored(n)
+    out = 1
+    for p, e in fn.factors:
+        lam = 2 ** (e - 2) if p == 2 and e >= 3 else (p - 1) * p ** (e - 1)
+        out = out * lam // math.gcd(out, lam)
+    return out
+
+
 def sigma(t: int, n: IntLike) -> int:
     """Sum of t-th powers of divisors; sigma(0, n) is the divisor count."""
     if t < 0:

@@ -101,21 +101,31 @@ class _Task:
 
 def _run_c_sums(tasks: List[_Task]) -> None:
     """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
-    into each task: one walk over c for all tasks, one jv call per c, and the
-    Kloosterman unit tables of each c shared by every task that needs them."""
+    into each task: one walk over c for all tasks, one jv call per c, and one
+    kloosterman_sum_fast call per distinct (m_eff, n) at each c, whose value
+    every task with that pair adds.  Each task still adds its own terms in
+    increasing c, so sharing moves no bit of any acc."""
     for t in tasks:
         t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
         g0 = math.gcd(t.m_eff, t.n)
         target = 1e-12 / max(abs(t.weight), 1e-6)
         t.c_stop, t.tail = _c_stop(t.nu, t.x0, t.step, g0, target)
-    c_max = max((t.c_stop for t in tasks), default=0)
+    # longest walk first, so the tasks still running at c are a prefix
+    live = sorted(tasks, key=lambda t: -t.c_stop)
+    c_max = live[0].c_stop if live else 0
     for c in range(1, c_max + 1):
-        active = [t for t in tasks if c % t.step == 0 and c <= t.c_stop]
+        while live[-1].c_stop < c:
+            live.pop()
+        active = [t for t in live if c % t.step == 0]
         if not active:
             continue
         js = jv([t.nu for t in active], [t.x0 / c for t in active])
+        sums = {}
         for t, j in zip(active, js):
-            t.acc += kloosterman_sum_fast(t.m_eff, t.n, c) / c * float(j)
+            key = (t.m_eff, t.n)
+            if key not in sums:
+                sums[key] = kloosterman_sum_fast(t.m_eff, t.n, c)
+            t.acc += sums[key] / c * float(j)
 
 
 def _full_cell(k: int, N: int, m: int, n: int):

@@ -160,14 +160,16 @@ class RecoveryRangeError(ValueError):
 
 
 def check_discrepancy_cell(k: int, N: int, p: int) -> int:
-    """dim S_k(N)* if empirical_mu_star(k, N, p) can recover its measure;
-    ValueError otherwise.
+    """dim S_k(N)* if empirical_mu_star(k, N, p) can recover its measure
+    (p a prime not dividing N); ValueError otherwise.
 
     The trace at p^dim needs class numbers for |D| <= 4 p^dim, so dim is
     limited both by 40 and by 4 p^dim <= 1e7 (dim <= 21 at p = 2)."""
     from .class_numbers import MAX_ABS_DISC
     from .eichler_selberg import trace_new
 
+    if p < 2 or factor(p).factors != ((p, 1),):
+        raise ValueError(f"empirical_mu_star: p must be prime, got {p}")
     if math.gcd(p, N) != 1:
         raise ValueError("empirical_mu_star: gcd(p, N) = 1 required")
     d = round(trace_new(1, k, N).total)

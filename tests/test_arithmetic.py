@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_spectra.arithmetic import (
+    carmichael_lambda,
     count_congruence_roots,
     divisors,
     euler_phi,
@@ -44,6 +45,15 @@ def test_sigma_multiplicative(a, b):
 def test_phi_divisor_sum(n):
     # sum_{d|n} phi(d) = n
     assert sum(euler_phi(d) for d in divisors(n)) == n
+
+
+def test_carmichael_lambda_brute():
+    # the least L >= 1 with x^L = 1 mod n for every unit x, and L | phi(n)
+    for n in range(1, 400):
+        units = [x for x in range(1, n + 1) if math.gcd(x, n) == 1]
+        L = next(L for L in range(1, n + 1) if all(pow(x, L, n) == 1 % n for x in units))
+        assert carmichael_lambda(n) == L, n
+        assert euler_phi(n) % L == 0, n
 
 
 @given(st.integers(min_value=1, max_value=3000))

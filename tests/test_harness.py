@@ -149,6 +149,7 @@ def test_cli_config_error_exit_code(tmp_path):
         ("trace", "kind = new\nN = 4\nn = 3\n"),
         ("discrepancy", "k = 276\nN = 1\np = 2\n"),
         ("discrepancy", "k = 14\nN = 1\np = 2\n"),
+        ("discrepancy", "k = 24\nN = 1\np = 4\n"),
         ("maint", "k = 4\n"),
     ]:
         cfgfile.write_text(text)

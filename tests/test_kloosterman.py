@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hecke_spectra.kloosterman import (
+    _half_units,
+    _units_and_inverses,
     kloosterman_sum,
     kloosterman_sum_fast,
     ramanujan_sum,
@@ -42,6 +44,28 @@ def test_fast_matches_certified():
         m = rng.randrange(-100, 100)
         n = rng.randrange(-100, 100)
         assert abs(kloosterman_sum_fast(m, n, c) - kloosterman_sum(m, n, c).value) < 1e-8
+
+
+def test_unit_tables():
+    # the tables every evaluator reads: the units in (0, c/2) (and all units
+    # mod c), ascending, each with its inverse in [1, c)
+    for c in list(range(3, 3001)) + list(range(13000, 13101)):
+        x, inv = _half_units(c)
+        assert x.tolist() == [a for a in range(1, c) if 2 * a < c and math.gcd(a, c) == 1], c
+        assert ((x * inv) % c == 1).all(), c
+        assert ((inv >= 1) & (inv < c)).all(), c
+        if c <= 600:
+            x, inv = _units_and_inverses(c)
+            assert x.tolist() == [a for a in range(1, c) if math.gcd(a, c) == 1], c
+            assert ((x * inv) % c == 1).all() and ((inv >= 1) & (inv < c)).all(), c
+
+
+def test_fast_matches_brute_on_prime_powers_and_composites():
+    for c in (2 ** 12, 3 ** 7, 5 ** 5, 2310, 4620, 13860):
+        for m, n in [(1, 1), (2, 3), (7, 5), (-3, 11), (0, 5), (c - 1, 13)]:
+            want = brute_kloosterman(m, n, c).real
+            assert abs(kloosterman_sum_fast(m, n, c) - want) < 1e-8, (m, n, c)
+            assert abs(kloosterman_sum(m, n, c).value - want) < 1e-8, (m, n, c)
 
 
 def test_symmetry_in_m_n():

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from hecke_spectra import petersson
+from hecke_spectra.kloosterman import kloosterman_sum_fast
 from hecke_spectra.oracles import delta_tau, level_one_eigenform
 from hecke_spectra.petersson import (
     delta_full,
@@ -36,10 +37,9 @@ def test_rank_one_other_weights():
 
 
 def test_empty_space_vanishing():
-    for k in (4, 6, 8, 10, 14):
-        for n in (1, 2, 7, 13, 20):
-            r = delta_full(k, 1, 1, n)
-            assert abs(r.value) <= r.truncation_bound + 1e-8, (k, n)
+    cells = [(k, 1, 1, n) for k in (4, 6, 8, 10, 14) for n in (1, 2, 7, 13, 20)]
+    for (k, _, _, n), r in zip(cells, petersson_cells("full", cells)):
+        assert abs(r.value) <= r.truncation_bound + 1e-8, (k, n)
 
 
 def test_off_diagonal_symmetry():
@@ -69,10 +69,27 @@ def test_shared_walk_matches_one_call_per_cell():
     # walk gives: same terms, same c order, same certificates
     for kind, fn, cells in [
         ("full", delta_full, [(k, 1, 1, n) for k in (4, 12) for n in (1, 2, 5)]),
+        # (m, n) repeats across k, so cells share each S(m, n; c)
+        ("full", delta_full, [(k, 1, 1, n) for k in (4, 8, 12) for n in (1, 2)]),
         ("new", delta_new, [(k, 7, 1, n) for k in (48, 64) for n in (1, 2)]),
     ]:
         # dataclass equality: value, truncation_bound, c_max and l_max exactly
         assert petersson_cells(kind, cells) == [fn(*cell) for cell in cells], kind
+
+
+def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
+    calls = []
+
+    def counting(m, n, c):
+        calls.append((m, n, c))
+        return kloosterman_sum_fast(m, n, c)
+
+    monkeypatch.setattr(petersson, "kloosterman_sum_fast", counting)
+    cells = [(k, N, 1, n) for k in (4, 8, 12) for N in (1, 3) for n in (1, 2)]
+    results = petersson_cells("full", cells)
+    # each full-level cell sums S(m, n; c) over c = 0 mod N up to its c_max
+    wanted = {(m, n, c) for (_, N, m, n), r in zip(cells, results) for c in range(N, r.c_max + 1, N)}
+    assert len(calls) == len(wanted) and set(calls) == wanted
 
 
 def test_petersson_cells_rejects_unknown_kind():
@@ -88,8 +105,7 @@ def test_delta_new_level_one_reduces_to_full():
 
 
 def test_delta_new_symmetric_in_m_n():
-    a = delta_new(12, 5, 2, 3)
-    b = delta_new(12, 5, 3, 2)
+    a, b = petersson_cells("new", [(12, 5, 2, 3), (12, 5, 3, 2)])
     assert abs(a.value - b.value) < 1e-9
 
 
