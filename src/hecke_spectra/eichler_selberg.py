@@ -276,6 +276,14 @@ def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
     return direct
 
 
+def check_noweight_cell(n: int, N: int, delta: float) -> None:
+    """Raise ValueError unless the no-weight cell (n, N) runs: averaged_trace_window
+    and noweight_main_term at K = int(4 pi sqrt n), window exponent delta.  The
+    window's weights are all even and >= 2, so trace_new's rule at k = 2 covers them."""
+    check_trace_cell("new", n, 2, N)
+    WindowSpec(float(int(4.0 * math.pi * math.sqrt(n))), delta, 1.0, 1.0)
+
+
 def averaged_trace_window(n: int, N: int, spec: WindowSpec) -> float:
     """(1/K^delta) sum over even k of psi((k-K)/K^delta) (-1)^{k/2} trace_new."""
     K, delta = spec.K, spec.delta
@@ -328,13 +336,20 @@ def _odd_cutoff(T: float, coeff: float, abs_target: float) -> int:
     return j0
 
 
-def _variance_inputs(n: int, N: int, T: float):
-    if mobius(N) == 0 or N <= 1:
+def check_variance_cell(n: int, N: int, T: float) -> None:
+    """Raise ValueError unless variance_window and diagonal_side accept (n, N, T)."""
+    if n < 1:
+        raise ValueError("variance sums: n >= 1 required")
+    if N <= 1 or mobius(N) == 0:
         raise ValueError("variance sums: squarefree N > 1 required")
     if math.gcd(n, N) != 1:
         raise ValueError("variance sums: gcd(n, N) = 1 required")
     if T < math.sqrt(n):
         raise ValueError("variance sums: T >= sqrt(n) required")
+
+
+def _variance_inputs(n: int, N: int, T: float):
+    check_variance_cell(n, N, T)
     tmax = math.isqrt(4 * n - 1)
     ts = np.arange(-tmax, tmax + 1)
     y = np.array([d_coefficient(int(t), n, N) for t in ts])

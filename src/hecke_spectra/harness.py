@@ -366,11 +366,12 @@ def _exp_maint(cfg):
 
 
 def _exp_bessel_sum(cfg):
-    from .special_functions import weighted_bessel_order_sum
+    from .special_functions import check_bessel_sum_cell, weighted_bessel_order_sum
 
     K = _float_scalar(cfg, "K")
     delta = _float_scalar(cfg, "delta", "0.3")
     cells = [{"K": K, "delta": delta, "x": x} for x in _float_list(cfg, "x")]
+    _validate("bessel-sum", cells, lambda c: check_bessel_sum_cell(c["K"], c["delta"], c["x"]))
 
     def work(cell):
         s = weighted_bessel_order_sum(cell["K"], cell["delta"], cell["x"])
@@ -380,7 +381,8 @@ def _exp_bessel_sum(cfg):
 
 
 def _exp_noweight(cfg):
-    from .eichler_selberg import WindowSpec, averaged_trace_window, noweight_main_term
+    from .eichler_selberg import (WindowSpec, averaged_trace_window, check_noweight_cell,
+                                  noweight_main_term)
 
     delta = _float_scalar(cfg, "delta", "0.25")
     cells = [
@@ -388,6 +390,7 @@ def _exp_noweight(cfg):
         for N in _int_list(cfg, "N", "1")
         for n in _int_list(cfg, "n")
     ]
+    _validate("noweight", cells, lambda c: check_noweight_cell(c["n"], c["N"], c["delta"]))
 
     def work(cell):
         n = cell["n"]
@@ -405,7 +408,7 @@ def _exp_noweight(cfg):
 
 
 def _exp_variance(cfg):
-    from .eichler_selberg import diagonal_side, variance_window
+    from .eichler_selberg import check_variance_cell, diagonal_side, variance_window
 
     cells = []
     for N in _int_list(cfg, "N", "2,3,5,6"):
@@ -414,6 +417,7 @@ def _exp_variance(cfg):
                 continue
             T = _float_scalar(cfg, "T") if "T" in cfg else 2.0 * math.ceil(math.sqrt(n))
             cells.append({"n": n, "N": N, "T": T})
+    _validate("variance", cells, lambda c: check_variance_cell(c["n"], c["N"], c["T"]))
 
     def work(cell):
         v = variance_window(cell["n"], cell["N"], cell["T"])
@@ -482,13 +486,14 @@ def _exp_discrepancy(cfg):
 
 
 def _exp_orbital(cfg):
-    from .petersson import orbital_integral_A
+    from .petersson import check_orbital_cell, orbital_integral_A
 
     cells = [
         {"k": k, "t": t}
         for k in _int_list(cfg, "k", "12,24,48")
         for t in _float_list(cfg, "t", "0.5,1,2")
     ]
+    _validate("orbital", cells, lambda c: check_orbital_cell(c["k"], c["t"]))
 
     def work(cell):
         quad, closed = orbital_integral_A(cell["t"], cell["k"])

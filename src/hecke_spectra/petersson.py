@@ -300,56 +300,56 @@ def maint_residual(k: int, N: int, m: int, n: int) -> float:
     return r.value - main
 
 
+def check_orbital_cell(k: int, t: float) -> None:
+    """Raise ValueError unless orbital_integral_A accepts (t, k)."""
+    if not (8 <= k <= 60) or k % 2:
+        raise ValueError("orbital_integral_A: even k in [8, 60] required")
+    if not (0.3 <= t <= 3.0):
+        raise ValueError("orbital_integral_A: t in [0.3, 3] required")
+
+
+def _inner_integral(t: float, k: int, x: np.ndarray) -> np.ndarray:
+    """int_R (a y + b)^{-k} e^{iky/2} dy at each x, a = t(x + i), b = t + 1/t - itx, by
+    residues: the one pole y0 = -b/a has Im y0 = (t + 1/t + t x^2)/(t(x^2 + 1)) > 0, where
+    e^{iky/2} decays, so it is 2 pi i a^{-k} (ik/2)^{k-1}/(k-1)! e^{iky0/2} (in log space)."""
+    a = t * (x + 1j)
+    y0 = -(t + 1.0 / t - 1j * t * x) / a
+    log_r = math.log(2.0 * math.pi) + (k - 1) * math.log(k / 2.0) - lgamma(k)
+    return 1j ** k * np.exp(log_r - k * np.log(a) + 0.5j * k * y0)
+
+
 def _orbital_quadrature(t: float, k: int, half_width: float, per_wave: int) -> complex:
-    """Composite Gauss-Legendre tensor quadrature of the matrix-coefficient
-    double integral over [-X, X]^2."""
-    kappa = t + 1.0 / t
-    wavelength = 4.0 * math.pi / k
-    panels = max(8, math.ceil(2.0 * half_width / wavelength * per_wave))
+    """The matrix-coefficient double integral over [-X, X] x R, phase e^{ik(y-x)/2}:
+    the y-integral exact by residues, the x-integral by a composite 8-point
+    Gauss-Legendre rule, per_wave panels per wavelength 4 pi/k of e^{-ikx/2}."""
+    panels = max(8, math.ceil(2.0 * half_width / (4.0 * math.pi / k) * per_wave))
     nodes, wts = np.polynomial.legendre.leggauss(8)
-    edges = np.linspace(-half_width, half_width, panels + 1)
-    h = edges[1] - edges[0]
-    x = (edges[:-1, None] + h / 2.0 + h / 2.0 * nodes[None, :]).ravel()
-    w = np.tile(h / 2.0 * wts, panels)
-    # e(k(-x+y)/4pi) = exp(ik(y-x)/2); split into separable phases
-    px = w * np.exp(-0.5j * k * x)
-    py = w * np.exp(+0.5j * k * x)  # same grid in y
-    pref = (k - 1) / (4.0 * math.pi) * (2.0j) ** k
-    total = 0.0 + 0.0j
-    chunk = max(1, (1 << 21) // len(x))
-    for lo in range(0, len(x), chunk):
-        xs = x[lo : lo + chunk, None]
-        denom = (xs * t * x[None, :] + kappa) + 1j * (t * x[None, :] - t * xs)
-        total += np.sum(px[lo : lo + chunk, None] * denom ** (-k) * py[None, :])
-    return pref * complex(total)
+    h = 2.0 * half_width / panels
+    x = (-half_width + h * (np.arange(panels)[:, None] + 0.5 + 0.5 * nodes[None, :])).ravel()
+    w = np.tile(h / 2.0 * wts, panels) * np.exp(-0.5j * k * x)
+    return (k - 1) / (4.0 * math.pi) * (2.0j) ** k * complex(np.sum(w * _inner_integral(t, k, x)))
 
 
 def orbital_integral_A(t: float, k: int):
     """The horocycle matrix-coefficient integral A(t,k): (quadrature, closed form).
 
-    closed form: e^{-k} i^k 4 pi k^{k-1} / (2t (k-2)!) J_{k-1}(k/t), built in
-    log space.  The quadrature is certified by agreement under refinement."""
+    closed form: e^{-k} i^k 4 pi k^{k-1} / (2t (k-2)!) J_{k-1}(k/t), in log space.
+    The quadrature's inner integral is exact by residues, so its agreement under
+    refinement certifies the outer integral; the comparison with the closed
+    form checks the closed form's Bessel and Gamma assembly."""
     from .special_functions import bessel_j
 
-    if not (8 <= k <= 60) or k % 2:
-        raise ValueError("orbital_integral_A: even k in [8, 60] required")
-    if not (0.3 <= t <= 3.0):
-        raise ValueError("orbital_integral_A: t in [0.3, 3] required")
+    check_orbital_cell(k, t)
     bess = bessel_j(k - 1, k / t)
     log_pref = -k + math.log(4.0 * math.pi) + (k - 1) * math.log(k) - math.log(2.0 * t) - lgamma(k - 1)
-    sign = -1.0 if (k // 2) % 2 else 1.0
-    closed = complex(sign * math.exp(log_pref) * bess.value, 0.0)
-    # domain half-width from the polynomial decay (2/(t|x|))^k of the
-    # integrand, targeting well below the closed form's magnitude
+    closed = complex((-1.0) ** (k // 2) * math.exp(log_pref) * bess.value, 0.0)
+    # half-width from the integrand's (2/(t|x|))^k decay, well below |closed|
     target = max(abs(closed) * 1e-9, 1e-280)
-    X = (2.0 / t) * ((k - 1) / (4.0 * math.pi * target)) ** (1.0 / (k - 2.0)) + 8.0
-    X = min(X, 400.0)
+    X = min((2.0 / t) * ((k - 1) / (4.0 * math.pi * target)) ** (1.0 / (k - 2.0)) + 8.0, 400.0)
     quad = _orbital_quadrature(t, k, X, 8)
     refined = _orbital_quadrature(t, k, X * 1.15, 12)
     scale = max(abs(closed), abs(refined), 1e-280)
     if abs(quad - refined) > 1e-7 * scale:
         raise ArithmeticError(
-            f"orbital_integral_A({t},{k}): quadrature not converged "
-            f"({quad} vs {refined})"
-        )
+            f"orbital_integral_A({t},{k}): quadrature not converged ({quad} vs {refined})")
     return refined, closed

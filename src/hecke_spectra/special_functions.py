@@ -241,12 +241,19 @@ def phi_hat_eval(xi: float) -> float:
     return float(800 * _cardinal_bspline(_SPLINE_ORDER, t))
 
 
-def weighted_bessel_order_sum(K: float, delta: float, x: float) -> float:
-    """(1/K^delta) sum over odd l, |l-K| <= K^delta, of psi((l-K)/K^delta) J_l(x)."""
+def check_bessel_sum_cell(K: float, delta: float, x: float) -> None:
+    """Raise ValueError unless weighted_bessel_order_sum accepts (K, delta, x)."""
     if K < 100.0:
         raise ValueError("weighted_bessel_order_sum: K >= 100 required")
     if not (0.0 < delta < 1.0 / 3.0):
         raise ValueError("weighted_bessel_order_sum: delta in (0, 1/3) required")
+    if not (K + K ** delta < 10 ** 5 + 1 and 0.0 <= x <= 10 ** 6):
+        raise ValueError("weighted_bessel_order_sum: orders <= 1e5 and x in [0, 1e6] required")
+
+
+def weighted_bessel_order_sum(K: float, delta: float, x: float) -> float:
+    """(1/K^delta) sum over odd l, |l-K| <= K^delta, of psi((l-K)/K^delta) J_l(x)."""
+    check_bessel_sum_cell(K, delta, x)
     h = K ** delta
     lo = math.ceil(K - h)
     hi = math.floor(K + h)

@@ -151,6 +151,12 @@ def test_cli_config_error_exit_code(tmp_path):
         ("discrepancy", "k = 14\nN = 1\np = 2\n"),
         ("discrepancy", "k = 24\nN = 1\np = 4\n"),
         ("maint", "k = 4\n"),
+        ("orbital", "k = 13\nt = 1\n"),
+        ("orbital", "k = 12\nt = 1,5\n"),
+        ("noweight", "N = 4\nn = 2280\n"),
+        ("noweight", "delta = -1\nn = 2280\n"),
+        ("variance", "N = 4\nn = 105\n"),
+        ("bessel-sum", "K = 2000\ndelta = 0\nx = 100\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hecke_spectra import petersson
@@ -145,6 +146,23 @@ def test_orbital_integral_matches_closed_form():
     for (t, k) in [(0.5, 12), (1.0, 24), (2.0, 12)]:
         quad, closed = orbital_integral_A(t, k)
         assert abs(quad - closed) <= 1e-6 * abs(closed)
+
+
+def test_orbital_inner_integral_matches_direct_quadrature():
+    # the residue formula against composite Gauss-Legendre in y over
+    # [-2000, 2000] (8 points per panel, about 8 panels per wavelength)
+    t, k = 1.0, 12
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    panels = 30000
+    h = 4000.0 / panels
+    y = (-2000.0 + h * (np.arange(panels)[:, None] + 0.5 + 0.5 * nodes[None, :])).ravel()
+    w = np.tile(h / 2.0 * wts, panels)
+    xs = np.array([-3.0, 0.0, 0.7, 5.0])
+    exact = petersson._inner_integral(t, k, xs)
+    for x, want in zip(xs, exact):
+        a, b = t * (x + 1j), t + 1.0 / t - 1j * t * x
+        direct = np.sum(w * (a * y + b) ** -k * np.exp(0.5j * k * y))
+        assert abs(direct - want) <= 1e-9 * abs(want), x
 
 
 def test_orbital_domain_checks():
