@@ -6,9 +6,10 @@ sin((k-1)theta)/(sqrt(n) sin theta) rather than through powers of the root
 rho = sqrt(n) e^{i theta}; the rational terms (identity, hyperbolic, k=2
 correction) are carried as exact Fraction coefficients of n^{-1/2}.
 
-The newform trace is always computed twice: once from its own closed-form
-terms and once as the Mobius/divisor-count combination of full-level traces.
-A disagreement raises rather than returning a value.
+The newform trace is computed once, from its own closed-form terms.  The
+Mobius/divisor-count combination of full-level traces is an independent
+second route, `newform_cross_route`; the unit tests compare the two on a grid
+of squarefree levels and the `verify` experiment on a small one.
 """
 
 from __future__ import annotations
@@ -71,25 +72,6 @@ class TraceBreakdown:
 
 
 @dataclass(frozen=True)
-class AngleData:
-    t: int
-    n: int
-    theta: float
-
-    def __post_init__(self):
-        if self.t * self.t >= 4 * self.n:
-            raise ValueError("AngleData: need t^2 < 4n")
-        root_re = math.sqrt(self.n) * math.cos(self.theta)
-        root_im = math.sqrt(self.n) * math.sin(self.theta)
-        if abs(root_re - self.t / 2.0) > 1e-12 * math.sqrt(self.n) or abs(
-            root_im - math.sqrt(4 * self.n - self.t * self.t) / 2.0
-        ) > 1e-12 * math.sqrt(self.n):
-            raise ValueError("AngleData: theta does not reproduce the root")
-        if math.sin(self.theta) < 1.0 / (2.0 * math.sqrt(self.n)) - 1e-12:
-            raise ValueError("AngleData: sin(theta) below 1/(2 sqrt n)")
-
-
-@dataclass(frozen=True)
 class WindowSpec:
     K: float
     delta: float
@@ -101,11 +83,6 @@ class WindowSpec:
             raise ValueError("WindowSpec: delta must lie in (1/5, 1/3)")
         if self.K <= 0 or self.T <= 0 or self.truncation_radius <= 0:
             raise ValueError("WindowSpec: K, T, truncation_radius must be positive")
-
-
-def angle_data(t: int, n: int) -> AngleData:
-    """theta in (0,pi) with sqrt(n) e^{i theta} = (t + i sqrt(4n-t^2))/2."""
-    return AngleData(t, n, math.atan2(math.sqrt(4 * n - t * t), t))
 
 
 def _ensure_class_table(n: int) -> None:
@@ -230,7 +207,12 @@ def trace_full(n: int, k: int, N: int) -> TraceBreakdown:
     return _assemble(n, k, N, "full", c1, t2, c3, c4)
 
 
-def _trace_new_direct(n: int, k: int, N: int) -> TraceBreakdown:
+def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
+    """Normalized trace of T_n on the newform subspace of S_k(N), N squarefree,
+    from the closed-form newform terms.  `newform_cross_route` evaluates the
+    same terms independently through full-level traces; the tests and the
+    `verify` experiment compare the two."""
+    check_trace_cell("new", n, k, N)
     c1 = Fraction(k - 1, 12) * euler_phi(N) if _is_square(n) else Fraction(0)
     t2 = _elliptic_term(n, k, N, tilde=True)
     c3 = _hyperbolic_coeff(n, k, 1) if N == 1 else Fraction(0)
@@ -238,42 +220,23 @@ def _trace_new_direct(n: int, k: int, N: int) -> TraceBreakdown:
     return _assemble(n, k, N, "new", c1, t2, c3, c4)
 
 
-def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
-    """Normalized trace of T_n on the newform subspace of S_k(N), N squarefree.
-
-    Evaluated from the closed-form newform terms and, for N > 1,
-    independently as sum_{d|N} sigma_0(N/d) mu(N/d) trace_full(n,k,d); any
-    disagreement is an internal error, not a return value.  At N = 1 that
-    cross-route is the same computation (every local weight is 1), so it is
-    skipped."""
+def newform_cross_route(n: int, k: int, N: int) -> Tuple[Fraction, float, Fraction, Fraction]:
+    """(coeff1, term2, coeff3, coeff4) of trace_new(n, k, N) by the second route
+    sum_{d|N} sigma_0(N/d) mu(N/d) trace_full(n, k, d): the rational
+    coefficients exactly, the elliptic term by math.fsum.  An oracle, not a
+    hot path; at N = 1 it repeats trace_new's computation (every local
+    weight is 1)."""
     check_trace_cell("new", n, k, N)
-    direct = _trace_new_direct(n, k, N)
-    if N == 1:
-        return direct
-    x1 = Fraction(0)
-    x2 = []
-    x3 = Fraction(0)
-    x4 = Fraction(0)
+    c1 = c3 = c4 = Fraction(0)
+    t2 = []
     for d in divisors(N):
         w = sigma(0, N // d) * mobius(N // d)
-        if w == 0:
-            continue
         full = trace_full(n, k, d)
-        x1 += w * full.coeff1
-        x2.append(w * full.term2)
-        x3 += w * full.coeff3
-        x4 += w * full.coeff4
-    if (x1, x3, x4) != (direct.coeff1, direct.coeff3, direct.coeff4):
-        raise ArithmeticError(
-            f"trace_new({n},{k},{N}): rational terms disagree between routes"
-        )
-    t2_cross = math.fsum(x2)
-    if abs(t2_cross - direct.term2) > 1e-9 * (1.0 + abs(direct.term2)):
-        raise ArithmeticError(
-            f"trace_new({n},{k},{N}): elliptic term {direct.term2} vs "
-            f"cross-route {t2_cross}"
-        )
-    return direct
+        c1 += w * full.coeff1
+        t2.append(w * full.term2)
+        c3 += w * full.coeff3
+        c4 += w * full.coeff4
+    return c1, math.fsum(t2), c3, c4
 
 
 def check_noweight_cell(n: int, N: int, delta: float) -> None:
@@ -369,7 +332,7 @@ def variance_window(n: int, N: int, T: float) -> float:
     m_bound = 2.0 * float(np.sum(np.abs(y))) + abs(b4)
     j_max = _odd_cutoff(T, m_bound ** 2, 1e-8)
     total = 0.0
-    block = max(1, (1 << 22) // max(len(y), 1))
+    block = max(1, (1 << 20) // max(len(y), 1))
     for k_lo in range(2, j_max + 2, 2 * block):
         ks = np.arange(k_lo, min(k_lo + 2 * block, j_max + 2), 2)
         s = -2.0 * np.sin(np.outer(ks - 1.0, theta)) @ y

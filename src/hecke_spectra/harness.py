@@ -516,7 +516,7 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
     a healthy build.  A deterministic subset of the acceptance suite, cheap
     enough to run repeatedly for cache validation."""
     from .class_numbers import r3, r3_from_hurwitz
-    from .eichler_selberg import diagonal_side, trace_new, variance_window
+    from .eichler_selberg import diagonal_side, newform_cross_route, trace_new, variance_window
     from .kloosterman import kloosterman_sum, weil_bound
     from .oracles import delta_tau, genus_X0
     from .petersson import delta_full, orbital_integral_A
@@ -531,6 +531,24 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
         abs(float(trace_new(1, 2, N).total) - genus_X0(N)) for N in (11, 14, 15, 23, 26, 35)
     )
     checks.append(("weight2_genus", {}, genus_err, 1e-12))
+
+    # the closed-form newform trace against the full-level combination; a
+    # rational coefficient that differs at all reads as inf
+    cross_err = 0.0
+    for N in (6, 7, 10, 15):
+        for k in (2, 12):
+            for n in range(1, 21):
+                if math.gcd(n, N) != 1:
+                    continue
+                tb = trace_new(n, k, N)
+                c1, t2, c3, c4 = newform_cross_route(n, k, N)
+                if (c1, c3, c4) != (tb.coeff1, tb.coeff3, tb.coeff4):
+                    cross_err = math.inf
+                else:
+                    cross_err = max(cross_err, abs(t2 - tb.term2) / (1.0 + abs(tb.term2)))
+    checks.append(
+        ("newform_cross_route", {"N": [6, 7, 10, 15], "k": [2, 12], "n_max": 20}, cross_err, 1e-9)
+    )
 
     r1 = delta_full(12, 1, 1, 1)
     r2 = delta_full(12, 1, 1, 2)

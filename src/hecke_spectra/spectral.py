@@ -90,6 +90,7 @@ def plancherel_cdf(p: int, x: float) -> float:
     return float(np.clip(_plancherel_interpolant(p)(x), 0.0, 1.0))
 
 
+@lru_cache(maxsize=32)
 def plancherel_measure(p: int) -> ContinuousMeasure:
     return ContinuousMeasure(f"plancherel({p})", lambda x: plancherel_cdf(p, x))
 

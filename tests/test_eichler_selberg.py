@@ -3,16 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from hecke_spectra.arithmetic import mobius, sigma
 from hecke_spectra.eichler_selberg import (
     WindowSpec,
-    angle_data,
     averaged_trace_window,
     d_coefficient,
     diagonal_side,
+    newform_cross_route,
     noweight_main_term,
     poisson_character_sum,
     trace_full,
@@ -118,16 +116,6 @@ def test_weight_two_correction_term():
     assert tb12.coeff4 == 0
 
 
-@settings(max_examples=200)
-@given(st.integers(min_value=1, max_value=10 ** 4))
-def test_angle_data_invariants(n):
-    tmax = math.isqrt(4 * n - 1)
-    for t in (-tmax, 0, tmax):
-        ad = angle_data(t, n)
-        assert 0.0 < ad.theta < math.pi
-        assert abs(2.0 * math.sqrt(n) * math.cos(ad.theta) - t) < 1e-8 * max(1, abs(t))
-
-
 def test_d_coefficient_even_in_t():
     for n in (15, 27, 105):
         for N in (2, 3):
@@ -207,14 +195,17 @@ def test_noweight_main_term_sign():
 
 
 def test_dual_route_consistency_grid():
-    # trace_new cross-checks the inclusion-exclusion of trace_full against
-    # the direct newform formula internally; a disagreement raises
+    # the direct newform formula against the inclusion-exclusion of trace_full:
+    # rational coefficients exactly, the elliptic term to 1e-9 relative
     for N in SQUAREFREE_LEVELS:
         for k in (2, 4, 6, 12, 20):
             for n in range(1, 40):
                 if math.gcd(n, N) != 1:
                     continue
-                trace_new(n, k, N)
+                tb = trace_new(n, k, N)
+                c1, t2, c3, c4 = newform_cross_route(n, k, N)
+                assert (c1, c3, c4) == (tb.coeff1, tb.coeff3, tb.coeff4), (n, k, N)
+                assert abs(t2 - tb.term2) <= 1e-9 * (1.0 + abs(tb.term2)), (n, k, N)
 
 
 def test_rejects_bad_arguments():

@@ -52,6 +52,11 @@ def test_plancherel_chebyshev_moments():
         assert abs(chebyshev_moment(mu, m) - want) < 1e-12
 
 
+def test_plancherel_measure_built_once_per_p():
+    # the cdf's monotonicity check costs about 0.1 s, so the measure is cached
+    assert plancherel_measure(2) is plancherel_measure(2)
+
+
 def test_semicircle_moments():
     sc = semicircle_measure()
     assert chebyshev_moment(sc, 0) == 1.0
