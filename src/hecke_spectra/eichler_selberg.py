@@ -23,7 +23,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .arithmetic import divisors, euler_phi, mobius, nu_index, sigma, count_congruence_roots
-from .class_numbers import ensure_table, h_w
+from .class_numbers import MAX_ABS_DISC, ensure_table, h_w
 from .special_functions import phi_eval, psi_eval
 
 Rational = Union[Fraction, float]
@@ -176,17 +176,33 @@ def _hyperbolic_coeff(n: int, k: int, N: int) -> Fraction:
     return acc
 
 
+def _check_class_range(what: str, n: int) -> None:
+    """The class numbers behind n reach |D| = 4n; refuse n before the class
+    table grows past what class_number supports."""
+    if 4 * n > MAX_ABS_DISC:
+        raise ValueError(f"{what}: 4n <= {MAX_ABS_DISC} required (class-number range)")
+
+
 def check_trace_cell(kind: str, n: int, k: int, N: int) -> None:
     """Raise ValueError unless trace_full (kind 'full') or trace_new (kind
     'new') accepts (n, k, N)."""
     if n < 1 or N < 1:
         raise ValueError("trace: n >= 1 and N >= 1 required")
+    _check_class_range("trace", n)
     if k < 2 or k % 2:
         raise ValueError("trace: even k >= 2 required")
     if math.gcd(n, N) != 1:
         raise ValueError(f"trace: gcd(n, N) = {math.gcd(n, N)} > 1 not supported")
     if kind == "new" and mobius(N) == 0:
         raise ValueError("trace_new: N must be squarefree")
+
+
+def check_arith_sum_cell(n: int, N: int) -> None:
+    """Raise ValueError unless the arith-sum cell (n, N) runs: d_coefficient
+    over every t^2 < 4n, and count_A at level N."""
+    if n < 1 or N < 1:
+        raise ValueError("arith-sum: n >= 1 and N >= 1 required")
+    _check_class_range("arith-sum", n)
 
 
 def _assemble(n, k, N, tag, c1: Fraction, t2: float, c3: Fraction, c4: Fraction) -> TraceBreakdown:
@@ -303,12 +319,13 @@ def check_variance_cell(n: int, N: int, T: float) -> None:
     """Raise ValueError unless variance_window and diagonal_side accept (n, N, T)."""
     if n < 1:
         raise ValueError("variance sums: n >= 1 required")
+    _check_class_range("variance sums", n)
     if N <= 1 or mobius(N) == 0:
         raise ValueError("variance sums: squarefree N > 1 required")
     if math.gcd(n, N) != 1:
         raise ValueError("variance sums: gcd(n, N) = 1 required")
-    if T < math.sqrt(n):
-        raise ValueError("variance sums: T >= sqrt(n) required")
+    if not math.isfinite(T) or T < math.sqrt(n):
+        raise ValueError("variance sums: finite T >= sqrt(n) required")
 
 
 def _variance_inputs(n: int, N: int, T: float):

@@ -433,6 +433,7 @@ def _exp_variance(cfg):
 
 def _exp_arith_sum(cfg):
     from .class_numbers import admissible_n0, count_A
+    from .eichler_selberg import check_arith_sum_cell
 
     cells = [
         {"n": n, "N": N}
@@ -440,6 +441,7 @@ def _exp_arith_sum(cfg):
         for n in _int_list(cfg, "n")
         if n % 2 == 1 and math.gcd(n, N) == 1
     ]
+    _validate("arith-sum", cells, lambda c: check_arith_sum_cell(c["n"], c["N"]))
 
     def work(cell):
         n, N = cell["n"], cell["N"]

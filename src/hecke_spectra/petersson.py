@@ -3,32 +3,39 @@ their transition-window main terms, and the appendix orbital integral.
 
 The c-sum is evaluated with scipy's J-Bessel (cross-checked in tests against
 the certified quadrature evaluator) and the paired Kloosterman fast path.
-Tails are certified: the c-tail from the exponential regime of J_nu past
-x = 0.8 nu, the l-tail from the Weil bound times the uniform nu^{-1/3}
-envelope, summed over the sparse l | L^infinity lattice.
+Truncations are certified: each c-tail from the exponential regime of J_nu
+past x = 0.8 nu, and delta_new's l-tail past _L_MAX by Deligne's bound
+(Deligne, La conjecture de Weil I, 1974; as in Iwaniec-Luo-Sarnak 2000, sec. 2):
+for gcd(a, M) = 1, |Delta_{k,M}(a, n)| <= tau(a) sqrt(Delta_{k,M}(1,1)
+Delta_{k,M}(n,n)), the two diagonals being full-level cells of the same walk.
+The certificates leave out the rounding of the float accumulation and of
+scipy.special.jv.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from math import lgamma
 from typing import List, Sequence, Tuple
 
 import numpy as np
 from scipy.special import jv
 
-from .arithmetic import divisors, euler_phi, factor, mobius
+from .arithmetic import divisors, euler_phi, factor, mobius, sigma
 from .kloosterman import kloosterman_sum_fast
 
-# uniform bounds: |J_nu(x)| <= C_LANDAU nu^{-1/3} for all x, nu > 0
-_C_LANDAU = 0.6749
-_L_MAX = 10 ** 4
-_L_ENUM = 10 ** 16
+_L_MAX = 10 ** 4  # delta_new sums l <= _L_MAX; the rest is its certified l-tail
 
 
 @dataclass(frozen=True)
 class PeterssonResult:
+    """value is the truncated sum; truncation_bound bounds |value - exact| by the
+    certified c-tails of every summed task plus, for delta_new at N > 1, the
+    Deligne bound on the l > _L_MAX tail.  It does not cover the rounding of
+    the float accumulation or of scipy.special.jv."""
+
     k: int
     N: int
     m: int
@@ -129,9 +136,9 @@ def _run_c_sums(tasks: List[_Task]) -> None:
 
 
 def _full_cell(k: int, N: int, m: int, n: int):
-    """(diagonal, tasks, l_tail, l_max) of delta_full(k, N, m, n): one task."""
+    """(diagonal, tasks, l_tail, l_max) of delta_full(k, N, m, n): one task, no l-tail."""
     _check_kn(k, N, m, n)
-    return 1.0 if m == n else 0.0, [_Task(k - 1, N, m, n, 1.0)], 0.0, 1
+    return 1.0 if m == n else 0.0, [_Task(k - 1, N, m, n, 1.0)], [], 1
 
 
 def _prime_lattice(primes, bound: int) -> list:
@@ -148,68 +155,34 @@ def _prime_lattice(primes, bound: int) -> list:
     return sorted(out)
 
 
-def _sigma0_sqrt_sum_bound(X: float) -> float:
-    """Upper bound for sum_{j <= X} sigma_0(j)/sqrt(j)."""
-    if X < 1:
-        return 0.0
-    return 2.0 * math.sqrt(X) * (math.log(X) + 2.0)
-
-
-def _single_l_tail(nu: int, x0: float, step: int, g0: int) -> float:
-    """Bound on 2 pi |Delta-geometric sum| for one discarded l: the c-range
-    up to the Bessel transition via the nu^{-1/3} envelope and Weil, the
-    rest via the exponential tail."""
-    c_star = x0 / (0.8 * nu)
-    osc = 0.0
-    if c_star >= step:
-        s0_step = len(divisors(step))
-        osc = (
-            2.0
-            * math.pi
-            * _C_LANDAU
-            / nu ** (1.0 / 3.0)
-            * math.sqrt(g0)
-            * s0_step
-            / math.sqrt(step)
-            * _sigma0_sqrt_sum_bound(c_star / step)
-        )
-    C = step * max(1, math.ceil(c_star / step) + 1)
-    return osc + _exp_tail(nu, x0, C, step, g0)
+def _l_tail_mass(primes, lattice) -> Fraction:
+    """sum of tau(l^2)/l over the l | L^infinity past the lattice (L the product
+    of the primes): the full sum, prod p(p+1)/(p-1)^2, less the lattice's terms."""
+    full = Fraction(1)
+    for p in primes:
+        full *= Fraction(p * (p + 1), (p - 1) ** 2)
+    return full - sum(Fraction(sigma(0, l * l), l) for l in lattice)
 
 
 def _new_cell(k: int, N: int, m: int, n: int):
     """(diagonal, tasks, l_tail, l_max) of delta_new(k, N, m, n): one task per
-    enumerated l, and the certified tail of the l-sum beyond them."""
+    l <= _L_MAX, and the l-tail past them as (M, w) pairs, each bounding its
+    part of the tail by w sqrt(Delta_{k,M}(1,1) Delta_{k,M}(n,n))."""
     check_petersson_cell("new", k, N, m, n)
-    nu = k - 1
-    g0 = math.gcd(m, n)
     tasks = []
-    l_tail = 0.0
+    l_tail = []
     l_max = 1
     for L in divisors(N):
         M = N // L
         wL = mobius(L) / L
         primes = factor(L).primes
-        lattice = _prime_lattice(primes, _L_ENUM)
-        for l in lattice:
-            if l <= _L_MAX:
-                tasks.append(_Task(nu, max(M, 1), m * l * l, n, wL / l))
-                l_max = max(l_max, l)
-            else:
-                x0 = 4.0 * math.pi * l * math.sqrt(m * n)
-                l_tail += abs(wL) / l * _single_l_tail(nu, x0, max(M, 1), g0)
-        # lattice points beyond the enumeration horizon: the per-l bound
-        # grows like sqrt(l) log(l), so (1/l) * bound decays like
-        # log(l)/sqrt(l); bound the remainder by its value at the horizon
-        # times sum over the full lattice of l^{-1/4}
+        lattice = _prime_lattice(primes, _L_MAX)
+        tasks += [_Task(k - 1, M, m * l * l, n, wL / l) for l in lattice]
+        l_max = max(l_max, lattice[-1])
         if primes:
-            lh = float(_L_ENUM)
-            x0h = 4.0 * math.pi * lh * math.sqrt(m * n)
-            head = abs(wL) / lh * _single_l_tail(nu, x0h, max(M, 1), g0)
-            lat_quarter = 1.0
-            for p in primes:
-                lat_quarter /= 1.0 - p ** -0.25
-            l_tail += head * lh ** 0.25 * lat_quarter
+            # gcd(m l^2, M) = 1, so Deligne and Cauchy-Schwarz give
+            # |Delta_{k,M}(m l^2, n)| <= tau(m) tau(l^2) sqrt(Delta_{k,M}(1,1) Delta_{k,M}(n,n))
+            l_tail.append((M, abs(wL) * sigma(0, m) * float(_l_tail_mass(primes, lattice))))
     # the diagonal survives only at l = 1 (l > 1 shares a factor with N,
     # which is coprime to n), giving delta(m,n) phi(N)/N
     return euler_phi(N) / N if m == n else 0.0, tasks, l_tail, l_max
@@ -222,15 +195,26 @@ def petersson_cells(kind: str, cells: Sequence[Tuple[int, int, int, int]]) -> Li
         raise ValueError(f"petersson_cells: kind must be 'full' or 'new', got {kind!r}")
     build = _full_cell if kind == "full" else _new_cell
     plans = [build(*cell) for cell in cells]
-    _run_c_sums([t for _, tasks, _, _ in plans for t in tasks])
-    results = []
-    for (k, N, m, n), (diagonal, tasks, l_tail, l_max) in zip(cells, plans):
+    # the l-tails need the full-level cells (k, M, 1, 1) and (k, M, n, n),
+    # which join the walk once per (k, M, n)
+    diagonals = {(k, M, a, a): _full_cell(k, M, a, a)
+                 for (k, _, _, n), (_, _, l_tail, _) in zip(cells, plans)
+                 for M, _ in l_tail for a in (1, n)}
+    _run_c_sums([t for _, tasks, _, _ in [*plans, *diagonals.values()] for t in tasks])
+
+    def result(cell, plan) -> PeterssonResult:
+        (k, N, m, n), (diagonal, tasks, l_tail, l_max) = cell, plan
         sign = -1.0 if (k // 2) % 2 else 1.0
         value = diagonal + 2.0 * math.pi * sign * math.fsum(t.weight * t.acc for t in tasks)
-        bound = math.fsum(abs(t.weight) * t.tail for t in tasks) + l_tail
-        c_max = max(t.c_stop for t in tasks)
-        results.append(PeterssonResult(k, N, m, n, value, bound, c_max, l_max))
-    return results
+        bound = math.fsum(abs(t.weight) * t.tail for t in tasks) + math.fsum(
+            w * math.sqrt(size[k, M, 1, 1] * size[k, M, n, n]) for M, w in l_tail)
+        return PeterssonResult(k, N, m, n, value, bound, max(t.c_stop for t in tasks), l_max)
+
+    size = {}  # |Delta_{k,M}(a,a)| + its c-tail, an upper bound on Delta_{k,M}(a,a)
+    for cell, plan in diagonals.items():
+        r = result(cell, plan)
+        size[cell] = abs(r.value) + r.truncation_bound
+    return [result(cell, plan) for cell, plan in zip(cells, plans)]
 
 
 def delta_full(k: int, N: int, m: int, n: int) -> PeterssonResult:
@@ -241,7 +225,7 @@ def delta_full(k: int, N: int, m: int, n: int) -> PeterssonResult:
 def delta_new(k: int, N: int, m: int, n: int) -> PeterssonResult:
     """Newform-projected Petersson average: sum over LM = N of (mu(L)/L)
     sum_{l | L^inf} (1/l) delta_full(k, M, m l^2, n), with the l-sum cut at
-    10^4 and its tail certified from the sparse-lattice envelope."""
+    10^4 and its tail certified by Deligne's bound."""
     return petersson_cells("new", [(k, N, m, n)])[0]
 
 

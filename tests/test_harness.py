@@ -157,6 +157,10 @@ def test_cli_config_error_exit_code(tmp_path):
         ("noweight", "delta = -1\nn = 2280\n"),
         ("variance", "N = 4\nn = 105\n"),
         ("bessel-sum", "K = 2000\ndelta = 0\nx = 100\n"),
+        ("arith-sum", "N = 0\nn = 1\n"),
+        ("variance", "N = 2\nn = 3\nT = nan\n"),
+        # the smallest n whose class numbers pass MAX_ABS_DISC, refused before any table grows
+        ("trace", "n = 2500001\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -108,6 +109,61 @@ def test_delta_new_level_one_reduces_to_full():
 def test_delta_new_symmetric_in_m_n():
     a, b = petersson_cells("new", [(12, 5, 2, 3), (12, 5, 3, 2)])
     assert abs(a.value - b.value) < 1e-9
+
+
+# (k, N, m, n) -> (repr(value), c_max, l_max): a guard on the value tasks
+_PINNED = {
+    (12, 5, 2, 3): ("0.16224241704923234", 13835, 3125),
+    (12, 7, 1, 2): ("0.19124645042252317", 6905, 2401),
+    (304, 7, 1, 606): ("-0.0876273117297502", 3880, 2401),
+}
+
+
+@pytest.fixture(scope="module")
+def newform_cells():
+    """delta_new at the pinned cells and (300, 7, 1, window_n), from one walk."""
+    cells = [*_PINNED, (300, 7, 1, window_n(300, 7))]
+    return dict(zip(cells, petersson_cells("new", cells)))
+
+
+def test_delta_new_pinned_values(newform_cells):
+    for cell, want in _PINNED.items():
+        r = newform_cells[cell]
+        assert (repr(r.value), r.c_max, r.l_max) == want, cell
+
+
+def test_delta_new_bound_finite_and_small(newform_cells):
+    # the Deligne l-tail keeps the certificate below the values it certifies
+    cells = [(48, 5, 1, 2), (48, 7, 1, 1), (48, 7, 1, 2)]
+    for r in [*petersson_cells("new", cells), *newform_cells.values()]:
+        assert math.isfinite(r.truncation_bound) and r.truncation_bound < 0.05, r
+    assert newform_cells[304, 7, 1, 606].truncation_bound <= 1e-3
+
+
+def test_delta_new_bound_covers_a_shorter_l_sum(monkeypatch, newform_cells):
+    # cutting the l-sum at 10^3 moves the value by less than the bound claims
+    cells = [(12, 5, 2, 3), (12, 7, 1, 2), (300, 7, 1, window_n(300, 7))]
+    monkeypatch.setattr(petersson, "_L_MAX", 10 ** 3)
+    for cell, cut in zip(cells, petersson_cells("new", cells)):
+        assert cut.l_max < 10 ** 3 <= newform_cells[cell].l_max
+        assert cut.truncation_bound >= abs(cut.value - newform_cells[cell].value), cell
+
+
+def test_l_tail_mass_matches_the_lattice_sum():
+    # sum of tau(l^2)/l over 10^4 < l <= 10^30, l | L^infinity, summed directly
+    for primes in [(7,), (2, 3)]:
+        closed = petersson._l_tail_mass(primes, petersson._prime_lattice(primes, petersson._L_MAX))
+        direct = Fraction(0)
+        for l in petersson._prime_lattice(primes, 10 ** 30):
+            if l > petersson._L_MAX:
+                tau = 1
+                for p in primes:
+                    e = 0
+                    while l % p ** (e + 1) == 0:
+                        e += 1
+                    tau *= 2 * e + 1
+                direct += Fraction(tau, l)
+        assert direct <= closed <= direct + Fraction(1, 10 ** 20), primes
 
 
 def test_maint_residual_small_in_window():
