@@ -517,9 +517,10 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
     """(name, parameters, observed, tolerance) with observed <= tolerance on
     a healthy build.  A deterministic subset of the acceptance suite, cheap
     enough to run repeatedly for cache validation."""
+    from .arithmetic import factor
     from .class_numbers import r3, r3_from_hurwitz
     from .eichler_selberg import diagonal_side, newform_cross_route, trace_new, variance_window
-    from .kloosterman import kloosterman_sum, weil_bound
+    from .kloosterman import kloosterman_sum, kloosterman_sum_fast, weil_bound
     from .oracles import delta_tau, genus_X0
     from .petersson import delta_full, orbital_integral_A
     from .spectral import trace_discrepancy_bound
@@ -564,6 +565,16 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
         s = kloosterman_sum(m, n, c)
         werr = max(werr, abs(s.value) - weil_bound(m, n, c))
     checks.append(("weil_bound_sample", {}, werr, 0.0))
+
+    # the twisted-multiplicative fast path against the direct sum: prime
+    # powers, c with three or more primes, c = 2p, and m, n sharing primes with c
+    moduli = [2 ** 10, 3 ** 6, 5 ** 4, 7 ** 3, 210, 1155, 4620, 2 * 997, 2 * 1009]
+    kerr = 0.0
+    for c in moduli:
+        p = factor(c).primes[0]
+        for m, n in [(1, 1), (3, -7), (p, 1), (p * p, 5), (c // p, c + 3), (19531250, 3)]:
+            kerr = max(kerr, abs(kloosterman_sum_fast(m, n, c) - kloosterman_sum(m, n, c).value))
+    checks.append(("kloosterman_fast_vs_direct", {"c": moduli}, kerr, 1e-8))
 
     r3err = max(abs(r3(n) - r3_from_hurwitz(n)) for n in range(1, 201))
     checks.append(("gauss_three_squares", {"n_max": 200}, r3err, 0.0))

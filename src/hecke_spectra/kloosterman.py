@@ -1,17 +1,24 @@
-"""Kloosterman sums by direct summation, plus Ramanujan sums and the Weil bound.
+"""Kloosterman sums, plus Ramanujan sums and the Weil bound.
 
-Direct O(c) summation is the single source of truth; no twisted
-multiplicativity (sign conventions there are a classic source of silent
-errors).  The imaginary part of S(m,n;c) cancels exactly by x <-> -x, so it
-is kept as a corruption detector rather than discarded.
+The certified `kloosterman_sum` is a direct O(c) sum over a per-c table of
+the units and their inverses: it is the single source of truth and the
+oracle the tests hold the fast path to.  Its imaginary part cancels exactly
+by x <-> -x, so it is kept as a corruption detector rather than discarded.
 
-Both evaluators read a per-c unit table: the units mod c, sieved out of
-range(c) by the prime factors of c, and their inverses from one routine,
-`_unit_inverses` (blocked batch inversion with a block size chosen from the
-table length).  The inverses are exact integers, so the route to them never
-moves a sum.  The tables are lru-cached per c; the Petersson c-walk asks
-for each distinct sum S(m,n;c) once per c and shares the value among every
-task that needs it.
+The fast path, which the Petersson c-walk calls, uses twisted
+multiplicativity (Iwaniec-Kowalski, Analytic Number Theory, AMS Colloq.
+Publ. 53, 2004): for c = q r with gcd(q, r) = 1, r* the inverse of r mod q
+and q* the inverse of q mod r,
+
+    S(m, n; q r) = S(m r*, n r*; q) * S(m q*, n q*; r),
+
+so S(m, n; c) is the product over the prime powers q || c of
+S(m r*, n r*; q), r = c/q.  Sign and inverse conventions here are a classic
+source of silent errors, hence the direct-sum oracle.  Unit tables are
+needed only for prime powers; the units are sieved out of range(q) and
+their inverses come from one routine, `_unit_inverses` (blocked batch
+inversion).  The inverses are exact integers, so the route to them never
+moves a sum.
 """
 
 from __future__ import annotations
@@ -114,26 +121,41 @@ def _unit_inverses(x: np.ndarray, c: int) -> np.ndarray:
     return inv.reshape(-1)[:nx]
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=2048)
 def _half_units(c: int):
     """Units x in (0, c/2) mod c, ascending, with their inverses in [1, c);
     used with the x <-> c-x pairing, which makes the sum 2*sum(cos) and
-    exactly real.  Built once per c by `_units_below` and `_unit_inverses`;
-    the cache lets the cells of a sweep that revisit c share the table."""
+    exactly real.  Built by `_units_below` and `_unit_inverses` and stored
+    as int16 for c <= 2^15 and int32 above (c <= 2^31), which keeps a long
+    walk's tables small; callers widen them to int64 before any product.
+    `kloosterman_sum_fast` asks only for the prime powers q || c: about 1.8k
+    of them below 15k, which the cache holds at once."""
     x = _units_below(c, (c + 1) // 2)
-    return x, _unit_inverses(x, c)
+    dtype = np.int16 if c <= 2 ** 15 else np.int32
+    return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
+
+
+@lru_cache(maxsize=4096)
+def _prime_power_sum(a: int, b: int, q: int) -> float:
+    """S(a,b;q) for a prime power q and 0 <= a, b < q, by paired summation."""
+    if q == 2:
+        return 1.0 if (a + b) % 2 == 0 else -1.0
+    x, inv = _half_units(q)
+    ang = (2.0 * math.pi / q) * ((a * x.astype(np.int64) + b * inv.astype(np.int64)) % q)
+    return 2.0 * float(np.sum(np.cos(ang)))
 
 
 def kloosterman_sum_fast(m: int, n: int, c: int) -> float:
-    """S(m,n;c) by paired summation; no per-value certification (the
-    harness-facing kloosterman_sum is the certified evaluator)."""
-    if c == 1:
-        return 1.0
-    if c == 2:
-        return 1.0 if (m + n) % 2 == 0 else -1.0
-    x, inv = _half_units(c)
-    ang = (2.0 * math.pi / c) * (((m % c) * x + (n % c) * inv) % c)
-    return 2.0 * float(np.sum(np.cos(ang)))
+    """S(m,n;c) by twisted multiplicativity: the product over q || c of
+    S(m r*, n r*; q), r = c/q and r* its inverse mod q; no per-value
+    certification (the harness-facing kloosterman_sum is the certified
+    evaluator)."""
+    s = 1.0
+    for p, e in factor(c).factors:
+        q = p ** e
+        rbar = pow(c // q, -1, q)
+        s *= _prime_power_sum(m * rbar % q, n * rbar % q, q)
+    return s
 
 
 def ramanujan_sum(n: int, c: int) -> int:

@@ -2,10 +2,12 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_spectra.arithmetic import factor
 from hecke_spectra.kloosterman import (
     _half_units,
     _units_and_inverses,
@@ -48,11 +50,12 @@ def test_fast_matches_certified():
 
 def test_unit_tables():
     # the tables every evaluator reads: the units in (0, c/2) (and all units
-    # mod c), ascending, each with its inverse in [1, c)
+    # mod c), ascending, each with its inverse in [1, c); the half tables are
+    # stored narrow, so the product is taken in int64
     for c in list(range(3, 3001)) + list(range(13000, 13101)):
         x, inv = _half_units(c)
         assert x.tolist() == [a for a in range(1, c) if 2 * a < c and math.gcd(a, c) == 1], c
-        assert ((x * inv) % c == 1).all(), c
+        assert ((x.astype(np.int64) * inv) % c == 1).all(), c
         assert ((inv >= 1) & (inv < c)).all(), c
         if c <= 600:
             x, inv = _units_and_inverses(c)
@@ -66,6 +69,23 @@ def test_fast_matches_brute_on_prime_powers_and_composites():
             want = brute_kloosterman(m, n, c).real
             assert abs(kloosterman_sum_fast(m, n, c) - want) < 1e-8, (m, n, c)
             assert abs(kloosterman_sum(m, n, c).value - want) < 1e-8, (m, n, c)
+
+
+# negative, zero, m = n, a lattice value of delta_new (2 * 3125^2), and m, n
+# divisible by the primes up to 19 and by the squares of those up to 7
+_CRT_PAIRS = [(-5, 7), (0, 11), (13, 13), (19531250, 3), (-44100, 30030),
+              (10 ** 7 + 19, -9699690)]
+
+
+def test_fast_matches_certified_at_every_c():
+    # a wrong twist in the product over prime powers shows at some composite
+    # c: every c <= 1200, the pairs above and, per c, m and n divisible by
+    # the smallest prime p of c and by p^2
+    for c in [*range(1, 1201), 2 ** 12, 3 ** 7, 5 ** 5, 30030, 13835, 13860]:
+        p = factor(c).primes[0] if c > 1 else 1
+        for m, n in [*_CRT_PAIRS, (p, 1), (7, p * p), (c // p, 5 * p)]:
+            want = kloosterman_sum(m, n, c).value
+            assert abs(kloosterman_sum_fast(m, n, c) - want) < 1e-9, (m, n, c)
 
 
 def test_symmetry_in_m_n():
