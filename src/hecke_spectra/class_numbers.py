@@ -2,6 +2,12 @@
 independent routes, r3 lattice counts, and congruence-restricted four-square
 counts.
 
+Both tabulated quantities, h(D) and r3(n), come only from their shared
+tables: `class_number` and `r3` read the table and, on a miss, grow it by
+one power-of-two rule (`_table_size`) before reading it; there is no other
+route.  The independent brute-force counts live in the tests.  The r3
+table stops at MAX_R3_N, since its FFT build's memory grows with it.
+
 All arithmetic in this module is exact (ints and Fractions).  The one float
 step is the r3 table: the cube of the square-count series is taken with
 numpy's FFT, rounded to integers, and rejected unless every entry lies
@@ -75,38 +81,28 @@ def build_form_table(limit: int) -> np.ndarray:
     return h
 
 
+def _table_size(limit: int) -> int:
+    """The size a shared table is built at to cover limit: a power of two, at
+    least 4096, so a sweep of growing limits rebuilds it only logarithmically
+    often."""
+    return max(4096, 1 << (limit - 1).bit_length())
+
+
 def ensure_table(limit: int) -> np.ndarray:
     """Grow the shared class-number table to cover |D| <= limit."""
     global _h_table
     with _table_lock:
         if _h_table is None or len(_h_table) <= limit:
-            _h_table = build_form_table(limit)
+            _h_table = build_form_table(_table_size(limit))
         return _h_table
-
-
-def _h_single(D: int) -> int:
-    absD = -D
-    count = 0
-    for a in range(1, math.isqrt(absD // 3) + 1):
-        for b in range(-a + 1, a + 1):
-            num = b * b + absD
-            if num % (4 * a):
-                continue
-            c = num // (4 * a)
-            if c < a or (c == a and b < 0):
-                continue
-            if math.gcd(math.gcd(a, b), c) == 1:
-                count += 1
-    return count
 
 
 def class_number(D: int) -> ClassNumberRecord:
     _check_disc(D)
     table = _h_table
-    if table is not None and -D < len(table):
-        h = int(table[-D])
-    else:
-        h = _h_single(D)
+    if table is None or -D >= len(table):
+        table = ensure_table(-D)
+    h = int(table[-D])
     w = 3 if D == -3 else (2 if D == -4 else 1)
     return ClassNumberRecord(D, h, w, Fraction(h, w))
 
@@ -161,6 +157,10 @@ def hurwitz_H(n: int) -> Fraction:
     return route1
 
 
+# r3 is supported for n <= MAX_R3_N: the 2^22 table's FFT build peaks at
+# about 571 MB resident, and the next power of two would need about 2.2 GB
+MAX_R3_N = 1 << 22
+
 _r3_lock = threading.Lock()
 _r3_table: np.ndarray | None = None
 
@@ -182,38 +182,28 @@ def build_r3_table(limit: int) -> np.ndarray:
 
 
 def ensure_r3_table(limit: int) -> np.ndarray:
-    """Grow the shared r3 table to cover m <= limit, rounding the limit up
-    to a power of two (at least 4096) so a sweep of growing n rebuilds it
-    only logarithmically often."""
+    """Grow the shared r3 table to cover m <= limit."""
     global _r3_table
     with _r3_lock:
         if _r3_table is None or len(_r3_table) <= limit:
-            _r3_table = build_r3_table(max(4096, 1 << (limit - 1).bit_length()))
+            _r3_table = build_r3_table(_table_size(limit))
         return _r3_table
 
 
 def r3(n: int) -> int:
     """Number of (x,y,z) in Z^3 with x^2+y^2+z^2 = n."""
-    if n < 0 or n > 10 ** 7:
-        raise ValueError("r3: 0 <= n <= 1e7 required")
+    if n < 0 or n > MAX_R3_N:
+        raise ValueError(f"r3: 0 <= n <= {MAX_R3_N} required (r3 table range)")
     table = _r3_table
-    if table is not None and n < len(table):
-        return int(table[n])
-    count = 0
-    for x in range(-math.isqrt(n), math.isqrt(n) + 1):
-        rest = n - x * x
-        for y in range(-math.isqrt(rest), math.isqrt(rest) + 1):
-            z2 = rest - y * y
-            z = math.isqrt(z2)
-            if z * z == z2:
-                count += 1 if z == 0 else 2
-    return count
+    if table is None or n >= len(table):
+        table = ensure_r3_table(n)
+    return int(table[n])
 
 
 def r3_from_hurwitz(n: int) -> int:
     """Gauss's formula expressing r3 through Hurwitz class numbers."""
-    if n <= 0 or n > 10 ** 7:
-        raise ValueError("r3_from_hurwitz: 1 <= n <= 1e7 required")
+    if n <= 0 or 4 * n > MAX_ABS_DISC:
+        raise ValueError(f"r3_from_hurwitz: 1 <= n and 4n <= {MAX_ABS_DISC} required")
     m = n % 8
     if m == 7:
         return 0

@@ -23,7 +23,7 @@ from typing import Tuple, Union
 import numpy as np
 
 from .arithmetic import divisors, euler_phi, mobius, nu_index, sigma, count_congruence_roots
-from .class_numbers import MAX_ABS_DISC, ensure_table, h_w
+from .class_numbers import MAX_ABS_DISC, MAX_R3_N, ensure_table, h_w
 from .special_functions import phi_eval, psi_eval
 
 Rational = Union[Fraction, float]
@@ -85,12 +85,6 @@ class WindowSpec:
             raise ValueError("WindowSpec: K, T, truncation_radius must be positive")
 
 
-def _ensure_class_table(n: int) -> None:
-    # round the needed limit up to a power of two so a sweep of growing n
-    # does not rebuild the sieve at every step
-    ensure_table(max(4096, 1 << (4 * n - 1).bit_length()))
-
-
 def _mu_weight(t: int, f: int, n: int, N: int) -> Fraction:
     """Local solution-count weight: nu(N)/nu(N/N_f) times the number of
     x mod N whose lifts solve x^2 - tx + n = 0 mod N*N_f.
@@ -124,7 +118,7 @@ def _hw_sum(t: int, n: int, N: int, tilde: bool) -> Fraction:
     """sum over f with f^2 | 4n-t^2, (t^2-4n)/f^2 = 0,1 mod 4 of
     h_w((t^2-4n)/f^2) times the (plain or tilde) local weight."""
     disc = t * t - 4 * n
-    _ensure_class_table(n)
+    ensure_table(4 * n)
     total = Fraction(0)
     for f in range(1, math.isqrt(-disc) + 1):
         if (-disc) % (f * f):
@@ -199,10 +193,12 @@ def check_trace_cell(kind: str, n: int, k: int, N: int) -> None:
 
 def check_arith_sum_cell(n: int, N: int) -> None:
     """Raise ValueError unless the arith-sum cell (n, N) runs: d_coefficient
-    over every t^2 < 4n, and count_A at level N."""
+    over every t^2 < 4n, and count_A at level N, whose r3 lookups reach 4n."""
     if n < 1 or N < 1:
         raise ValueError("arith-sum: n >= 1 and N >= 1 required")
     _check_class_range("arith-sum", n)
+    if 4 * n > MAX_R3_N:
+        raise ValueError(f"arith-sum: 4n <= {MAX_R3_N} required (r3 table range)")
 
 
 def _assemble(n, k, N, tag, c1: Fraction, t2: float, c3: Fraction, c4: Fraction) -> TraceBreakdown:

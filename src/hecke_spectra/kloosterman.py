@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arithmetic import carmichael_lambda, divisors, factor, mobius
+from .arithmetic import carmichael_lambda, divisors, factor, mobius, sigma
 
 
 @dataclass(frozen=True)
@@ -170,6 +170,5 @@ def weil_bound(m: int, n: int, c: int) -> float:
     """sigma_0(c) * sqrt(gcd(m,n,c)) * sqrt(c)."""
     if c < 1:
         raise ValueError("weil_bound: c must be positive")
-    sigma0 = len(divisors(c))
     g = math.gcd(math.gcd(abs(m), abs(n)), c)
-    return sigma0 * math.sqrt(g) * math.sqrt(c)
+    return sigma(0, c) * math.sqrt(g) * math.sqrt(c)

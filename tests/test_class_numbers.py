@@ -118,7 +118,8 @@ def test_r3_table_gauss_sample(limit):
         assert int(table[n]) == r3_from_hurwitz(int(n)), n
 
 
-def test_r3_table_grows_geometrically(monkeypatch):
+def _counting_r3_builds(monkeypatch):
+    """Start from no r3 table and record the limit of every build."""
     builds = []
 
     def counting_build(limit):
@@ -127,10 +128,34 @@ def test_r3_table_grows_geometrically(monkeypatch):
 
     monkeypatch.setattr(class_numbers, "_r3_table", None)
     monkeypatch.setattr(class_numbers, "build_r3_table", counting_build)
+    return builds
+
+
+def test_r3_table_grows_geometrically(monkeypatch):
+    builds = _counting_r3_builds(monkeypatch)
     for n in range(1, 2001, 2):
         count_A(2, n, 1)
     # limits 4096 and 8192 cover every 4n <= 8000
     assert builds == [4096, 8192]
+
+
+def test_r3_cold_start_reads_its_table(monkeypatch):
+    builds = _counting_r3_builds(monkeypatch)
+    assert r3(5001) == brute_r3(5001)
+    assert builds == [8192]
+
+
+def test_class_number_cold_start_reads_its_table(monkeypatch):
+    monkeypatch.setattr(class_numbers, "_h_table", None)
+    assert class_number(-4003).h == brute_class_number(-4003)
+    assert len(class_numbers._h_table) == 4097
+
+
+def test_r3_refuses_past_its_table_range(monkeypatch):
+    builds = _counting_r3_builds(monkeypatch)
+    with pytest.raises(ValueError, match="r3 table range"):
+        r3(class_numbers.MAX_R3_N + 1)
+    assert builds == [] and class_numbers._r3_table is None
 
 
 def test_trace_layer_imports_no_scipy():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke_spectra import harness
+from hecke_spectra import class_numbers, harness
 from hecke_spectra.harness import (
     CacheEntry,
     ConfigError,
@@ -141,6 +141,7 @@ def test_cli_config_error_exit_code(tmp_path):
     cfgfile.write_text("nonsense\n")
     assert harness.main(["trace", "--config", str(cfgfile)]) == 2
     assert harness.main(["trace", "--config", str(tmp_path / "missing.cfg")]) == 2
+    tables = (class_numbers._h_table, class_numbers._r3_table)
     for experiment, text in [
         ("petersson", "kind = newform\nn = 1\n"),
         ("trace", "n = 5..1\n"),
@@ -161,9 +162,13 @@ def test_cli_config_error_exit_code(tmp_path):
         ("variance", "N = 2\nn = 3\nT = nan\n"),
         # the smallest n whose class numbers pass MAX_ABS_DISC, refused before any table grows
         ("trace", "n = 2500001\n"),
+        # the smallest odd n prime to N whose r3 lookups (4n) pass MAX_R3_N = 2^22
+        ("arith-sum", "N = 2\nn = 1048577\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text
+    # every config above is refused at parse time, before any table grows
+    assert class_numbers._h_table is tables[0] and class_numbers._r3_table is tables[1]
 
 
 def test_run_experiment_maint_residuals():
