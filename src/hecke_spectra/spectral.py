@@ -14,7 +14,6 @@ from typing import Callable, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .arithmetic import factor
 from .special_functions import MP_CONTEXT_LOCK
@@ -53,41 +52,25 @@ class ContinuousMeasure:
             raise ValueError(f"{self.kind}: cdf not monotone")
 
 
-def _plancherel_density(p: int):
-    s = (math.sqrt(p) + 1.0 / math.sqrt(p)) ** 2
-
-    def rho(x):
-        return (p + 1) / math.pi * np.sqrt(np.maximum(1.0 - x * x / 4.0, 0.0)) / (s - x * x)
-
-    return rho
-
-
-@lru_cache(maxsize=32)
-def _plancherel_interpolant(p: int) -> PchipInterpolator:
-    """Cumulative mass on a 4096-point Chebyshev grid (clustered at the
-    square-root endpoints), panel-wise Gauss-Legendre, monotone interpolation."""
-    rho = _plancherel_density(p)
-    j = np.arange(4097)
-    grid = -2.0 * np.cos(math.pi * j / 4096.0)
-    nodes, wts = np.polynomial.legendre.leggauss(12)
-    a, b = grid[:-1], grid[1:]
-    mid, half = (a + b) / 2.0, (b - a) / 2.0
-    panel = np.sum(wts[None, :] * rho(mid[:, None] + half[:, None] * nodes[None, :]), axis=1) * half
-    cdf_vals = np.concatenate([[0.0], np.cumsum(panel)])
-    # the total mass is 1 analytically; fold the quadrature defect (~1e-12)
-    # back in so cdf(2) = 1 exactly
-    cdf_vals /= cdf_vals[-1]
-    return PchipInterpolator(grid, cdf_vals)
+def _require_prime(p, who: str) -> int:
+    q = int(p) if isinstance(p, (int, np.integer)) else 0  # 2.0 is refused too
+    if q < 2 or factor(q).factors != ((q, 1),):
+        raise ValueError(f"{who}: p must be prime, got {p}")
+    return q
 
 
 def plancherel_cdf(p: int, x: float) -> float:
-    """CDF at x of the measure with density (p+1)/pi (1-x^2/4)^{1/2} / ((p^{1/2}+p^{-1/2})^2-x^2)."""
-    if len(factor(p).factors) != 1 or factor(p).factors[0][1] != 1:
-        raise ValueError("plancherel_cdf: p must be prime")
+    """CDF of Serre's Plancherel measure mu_p (J. AMS 10, 1997), of density (p+1)/pi
+    (1-x^2/4)^{1/2} / ((p^{1/2}+p^{-1/2})^2-x^2): with x = -2 cos(theta), theta in [0, pi],
+    F_p(x) = ((p+1) theta - (p-1) Phi)/(2 pi), Phi = atan2((p+1) sin(theta), (p-1) cos(theta))."""
+    p = _require_prime(p, "plancherel_cdf")
     if not -2.0 <= x <= 2.0:
         warnings.warn(f"plancherel_cdf: clamping x = {x} to [-2, 2]")
         x = min(2.0, max(-2.0, x))
-    return float(np.clip(_plancherel_interpolant(p)(x), 0.0, 1.0))
+    theta = math.acos(-x / 2.0)
+    phi = math.atan2((p + 1) * math.sin(theta), (p - 1) * math.cos(theta))
+    # clipped: rounding can put F_p(2) past 1 (by 1.05e-13 at p = 1321)
+    return min(1.0, max(0.0, ((p + 1) * theta - (p - 1) * phi) / (2.0 * math.pi)))
 
 
 @lru_cache(maxsize=32)
@@ -106,10 +89,8 @@ def semicircle_measure() -> ContinuousMeasure:
 
 def _u_value(m: int, half_x: float) -> float:
     """Chebyshev U_m evaluated at half_x = x/2, by the three-term recurrence."""
-    u_prev, u = 1.0, 2.0 * half_x
-    if m == 0:
-        return u_prev
-    for _ in range(m - 1):
+    u_prev, u = 0.0, 1.0
+    for _ in range(m):
         u_prev, u = u, 2.0 * half_x * u - u_prev
     return u
 
@@ -169,8 +150,7 @@ def check_discrepancy_cell(k: int, N: int, p: int) -> int:
     from .class_numbers import MAX_ABS_DISC
     from .eichler_selberg import trace_new
 
-    if p < 2 or factor(p).factors != ((p, 1),):
-        raise ValueError(f"empirical_mu_star: p must be prime, got {p}")
+    p = _require_prime(p, "empirical_mu_star")
     if math.gcd(p, N) != 1:
         raise ValueError("empirical_mu_star: gcd(p, N) = 1 required")
     d = round(trace_new(1, k, N).total)

@@ -165,6 +165,7 @@ def test_trace_layer_imports_no_scipy():
     code = (
         "import sys\n"
         "import hecke_spectra.harness, hecke_spectra.eichler_selberg, hecke_spectra.class_numbers\n"
+        "import hecke_spectra.spectral\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,

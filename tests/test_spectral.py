@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.spectral import (
     DiscreteMeasure,
+    check_discrepancy_cell,
     chebyshev_moment,
     discrepancy,
     discrepancy_lower_bound_moments,
@@ -22,21 +23,31 @@ from hecke_spectra.spectral import (
 
 
 def test_plancherel_cdf_endpoints_and_center():
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, np.int64(3)):
         assert abs(plancherel_cdf(p, -2.0)) < 1e-9
         assert abs(plancherel_cdf(p, 2.0) - 1.0) < 1e-9
         assert abs(plancherel_cdf(p, 0.0) - 0.5) < 1e-9
+    assert check_discrepancy_cell(24, 1, np.int64(3)) == 2
+    # a non-integral p is refused like a composite one
+    for p in (4, 2.0):
+        with pytest.raises(ValueError, match="p must be prime"):
+            plancherel_cdf(p, 0.0)
+        with pytest.raises(ValueError, match="p must be prime"):
+            plancherel_measure(p)
+        with pytest.raises(ValueError, match="p must be prime"):
+            check_discrepancy_cell(24, 1, p)
 
 
 def test_plancherel_cdf_against_quadrature():
     from scipy.integrate import quad
 
-    p = 3
-    s = (math.sqrt(p) + 1.0 / math.sqrt(p)) ** 2
-    rho = lambda x: (p + 1) / math.pi * math.sqrt(max(1 - x * x / 4, 0)) / (s - x * x)
-    for x in np.linspace(-1.9, 1.9, 15):
-        want, _ = quad(rho, -2.0, float(x), points=[-2.0], limit=200)
-        assert abs(plancherel_cdf(p, float(x)) - want) < 1e-9
+    for p in (2, 3, 101):
+        s = (math.sqrt(p) + 1.0 / math.sqrt(p)) ** 2
+        rho = lambda x: (p + 1) / math.pi * math.sqrt(max(1 - x * x / 4, 0)) / (s - x * x)
+        # the interior plus two points near the square-root endpoints
+        for x in [-1.999, *np.linspace(-1.9, 1.9, 15), 1.999]:
+            want, _ = quad(rho, -2.0, float(x), points=[-2.0], limit=200)
+            assert abs(plancherel_cdf(p, float(x)) - want) < 1e-9, (p, x)
 
 
 def test_plancherel_clamps_with_warning():
@@ -52,8 +63,27 @@ def test_plancherel_chebyshev_moments():
         assert abs(chebyshev_moment(mu, m) - want) < 1e-12
 
 
+def test_plancherel_chebyshev_moments_from_cdf():
+    # by parts: int U_m(x/2) dF_p = (m+1) - int F_p(x) (d/dx) U_m(x/2) dx, since
+    # U_m(1) = m+1 and F_p(-2) = 0; Gauss-Legendre in theta, x = -2 cos(theta)
+    nodes, wts = np.polynomial.legendre.leggauss(200)
+    theta = (nodes + 1.0) * math.pi / 2.0
+    xs = -2.0 * np.cos(theta)
+    dx = 2.0 * np.sin(theta) * wts * math.pi / 2.0
+    x = np.polynomial.Polynomial([0.0, 1.0])
+    for p in (2, 3, 5):
+        cdf = np.array([plancherel_cdf(p, float(v)) for v in xs])
+        u_prev, u = 0.0 * x, 0.0 * x + 1.0  # U_{-1}, U_0 at x/2
+        for m in range(0, 11):
+            moment = (m + 1) - float(np.sum(cdf * u.deriv()(xs) * dx))
+            want = p ** (-m / 2.0) if m % 2 == 0 else 0.0
+            assert abs(moment - want) < 1e-10, (p, m, moment)
+            u_prev, u = u, x * u - u_prev
+
+
 def test_plancherel_measure_built_once_per_p():
-    # the cdf's monotonicity check costs about 0.1 s, so the measure is cached
+    # each build checks monotonicity at 10^4 points, and perfbench hooks this
+    # name, so the measure stays cached
     assert plancherel_measure(2) is plancherel_measure(2)
 
 
