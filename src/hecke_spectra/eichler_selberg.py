@@ -333,24 +333,49 @@ def _variance_inputs(n: int, N: int, T: float):
     return ts, y, theta
 
 
+# largest array variance_window builds, in elements (8 MiB of float64)
+_VARIANCE_BLOCK = 1 << 20
+
+
 def variance_window(n: int, N: int, T: float) -> float:
     """sum_{k>0 even} phi((k-1)/T) |trace_new(n,k,N) - identity term|^2.
 
     The identity term is (k-1)/12 phi(N)/sqrt(n) when n is a square; what is
     left is the elliptic term plus the weight-2 correction, which this
     evaluates vectorized over k (the closed-form pieces are exactly the
-    per-k trace_new totals; tests spot-check that)."""
+    per-k trace_new totals; tests spot-check that).
+
+    The odd j = k-1 <= j_max are split as j = a_h + 2l with a_h = 1 + 2Bh and
+    0 <= l < B, B about sqrt(j_max/2).  By angle addition the elliptic sums
+    for all j form one H x B table,
+        sum_t y_t sin(j theta_t) = (y sin(a theta)) @ cos(2l theta)^T
+                                 + (y cos(a theta)) @ sin(2l theta)^T,
+    so about 2(H + B)|t| sines and two matrix products replace the
+    (j_max/2)|t| sines of the direct grid.  B is capped and the rows h are
+    taken in chunks so that no array exceeds _VARIANCE_BLOCK elements.  The
+    result moves from the direct per-k grid's only by rounding: at most
+    1.4e-14 relative on configs/variance.cfg (observed), with the split the
+    closer of the two to an 80-bit long-double evaluation."""
     _, y, theta = _variance_inputs(n, N, T)
     b4 = mobius(N) * sigma(1, n) / math.sqrt(n)
     m_bound = 2.0 * float(np.sum(np.abs(y))) + abs(b4)
     j_max = _odd_cutoff(T, m_bound ** 2, 1e-8)
+    count = (j_max + 1) // 2  # odd j = 1, 3, ..., j_max
+    width = min(math.isqrt(count - 1) + 1, _VARIANCE_BLOCK // len(y))
+    fine = np.outer(2.0 * np.arange(width), theta)
+    cos_fine, sin_fine = np.cos(fine).T, np.sin(fine).T
+    n_rows = -(-count // width)
+    rows = _VARIANCE_BLOCK // max(len(y), width)
     total = 0.0
-    block = max(1, (1 << 20) // max(len(y), 1))
-    for k_lo in range(2, j_max + 2, 2 * block):
-        ks = np.arange(k_lo, min(k_lo + 2 * block, j_max + 2), 2)
-        s = -2.0 * np.sin(np.outer(ks - 1.0, theta)) @ y
-        s[ks == 2] += b4
-        total += float(np.sum(_phi_weights(ks - 1.0, T) * s ** 2))
+    for h_lo in range(0, n_rows, rows):
+        a = 1.0 + 2.0 * width * np.arange(h_lo, min(h_lo + rows, n_rows))
+        coarse = np.outer(a, theta)
+        s = -2.0 * ((np.sin(coarse) * y) @ cos_fine + (np.cos(coarse) * y) @ sin_fine)
+        if h_lo == 0:
+            s[0, 0] += b4  # j = 1 is k = 2
+        j = a[:, None] + 2.0 * np.arange(width)
+        w = np.where(j <= j_max, _phi_weights(j, T), 0.0)
+        total += float(np.sum(w * s ** 2))
     return total
 
 

@@ -225,9 +225,16 @@ def discrepancy(d: DiscreteMeasure, c: ContinuousMeasure) -> float:
 
 
 def _u_total_variation(m: int) -> float:
-    xs = np.linspace(-2.0, 2.0, 20001)
-    vals = np.array([_u_value(m, x / 2.0) for x in xs])
-    return float(np.sum(np.abs(np.diff(vals))))
+    """sum |U_m(x_{i+1}/2) - U_m(x_i/2)| over 20,001 equispaced x_i in [-2, 2].
+
+    A lower estimate of TV(U_m(x/2)): the part of each extremum between two
+    grid points is missed.  The recurrence of _u_value runs on the whole grid
+    at once, with the same operations, so every grid value is bit-identical."""
+    half_x = np.linspace(-2.0, 2.0, 20001) / 2.0
+    u_prev, u = np.zeros_like(half_x), np.ones_like(half_x)
+    for _ in range(m):
+        u_prev, u = u, 2.0 * half_x * u - u_prev
+    return float(np.sum(np.abs(np.diff(u))))
 
 
 def discrepancy_lower_bound_moments(moment_diffs: Sequence[float], m: int) -> float:

@@ -158,6 +158,27 @@ def test_variance_summand_matches_trace():
         assert abs(s - tb.total) < 1e-10, k
 
 
+def test_variance_window_matches_per_k_traces():
+    # the whole weighted sum, every k through trace_new: one non-square cell
+    # and one square cell, where the identity term is subtracted
+    from hecke_spectra.arithmetic import euler_phi
+    from hecke_spectra.eichler_selberg import _odd_cutoff, _variance_inputs
+    from hecke_spectra.special_functions import phi_eval
+
+    for (n, N, T) in [(15, 2, 8.0), (49, 3, 14.0)]:
+        _, y, _ = _variance_inputs(n, N, T)
+        b4 = mobius(N) * sigma(1, n) / math.sqrt(n)
+        j_max = _odd_cutoff(T, (2.0 * float(np.sum(np.abs(y))) + abs(b4)) ** 2, 1e-8)
+        square = math.isqrt(n) ** 2 == n
+        terms = []
+        for k in range(2, j_max + 2, 2):
+            identity = (k - 1) / 12.0 * euler_phi(N) / math.sqrt(n) if square else 0.0
+            terms.append(phi_eval((k - 1) / T) * (trace_new(n, k, N).total - identity) ** 2)
+        expected = math.fsum(terms)
+        got = variance_window(n, N, T)
+        assert abs(got - expected) <= 1e-12 * expected, (n, N, got, expected)
+
+
 def test_variance_reflection_symmetry():
     # the elliptic sum at weight k equals minus the sum at 2-k
     n, N = 105, 2

@@ -179,6 +179,16 @@ def test_moment_lower_bound_sanity():
     assert bound <= discrepancy(one, plancherel_measure(2)) + 1e-9
 
 
+def test_u_total_variation_matches_per_point_grid():
+    # the vectorized recurrence against one _u_value call per grid point
+    from hecke_spectra.spectral import _u_total_variation, _u_value
+
+    xs = np.linspace(-2.0, 2.0, 20001)
+    for m in (1, 14, 40):
+        vals = np.array([_u_value(m, x / 2.0) for x in xs])
+        assert _u_total_variation(m) == float(np.sum(np.abs(np.diff(vals)))), m
+
+
 def test_trace_discrepancy_bound_values():
     tdb = trace_discrepancy_bound(2, 12, 1)
     assert abs(tdb - 24.0 / 2 ** 5.5 / 2.0) < 1e-9
