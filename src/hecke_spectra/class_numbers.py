@@ -8,6 +8,13 @@ one power-of-two rule (`_table_size`) before reading it; there is no other
 route.  The independent brute-force counts live in the tests.  The r3
 table stops at MAX_R3_N, since its FFT build's memory grows with it.
 
+The h table (`build_form_table`) is built in two vectorized integer steps
+(Cohen, GTM 138, ch. 5, for reduced forms): first every reduced form,
+primitive or not, is counted for all |D| <= limit at once, one numpy pass
+per a; then a Moebius step over square divisors, one prime at a time,
+removes the imprimitive ones, since a reduced form of D divided by
+g = gcd(a, b, c) is a reduced primitive form of D/g^2.  Both steps are exact.
+
 All arithmetic in this module is exact (ints and Fractions).  The one float
 step is the r3 table: the cube of the square-count series is taken with
 numpy's FFT, rounded to integers, and rejected unless every entry lies
@@ -61,23 +68,51 @@ def _check_disc(D: int) -> None:
 
 
 def build_form_table(limit: int) -> np.ndarray:
-    """Count reduced primitive forms for every |D| <= limit in one sieve pass."""
-    h = np.zeros(limit + 1, dtype=np.int64)
-    amax = math.isqrt(limit // 3)
+    """h(-m) for every m <= limit (0 where -m is not a discriminant), as
+    int64, in two vectorized steps.
+
+    Step 1 counts every reduced form (a, b, c) with 4ac - b^2 <= limit,
+    primitive or not; call the count T(m).  View the table as rows of 4a
+    entries.  For one a and one b in [0, a], the forms have m = 4ac - b^2,
+    c = a, a+1, ...: a run down the column (-b^2) mod 4a.  It has weight 1
+    at c = a (only b >= 0 is reduced there), and for c > a weight 2 when
+    0 < b < a (both (a, b, c) and (a, -b, c)), else 1.  A cumulative sum
+    down a difference array over the distinct columns lays every run of one
+    a at once.
+
+    Step 2 keeps the primitive forms.  Dividing a reduced form by
+    g = gcd(a, b, c) gives a reduced primitive form of -m/g^2, and scaling
+    back inverts this, so T(m) = sum over g^2 | m of h(m/g^2).  Removing one
+    prime at a time, h[m] -= h[m/p^2] for p^2 | m, undoes the sum; within a
+    prime every read sees the value from before that prime's step.
+
+    Both steps are integer arithmetic, so the table is exact.  Step 1 runs
+    in int32: c is fixed by (a, b, m), so T(m) <= (number of |b| <= a
+    <= sqrt(m/3)) <= m, far below 2^31 at every size this module builds."""
+    amax = math.isqrt(limit // 3)  # a reduced form has 3a^2 <= 4ac - b^2
+    t = np.zeros(limit + 1 + 4 * amax, dtype=np.int32)  # room for whole rows
     for a in range(1, amax + 1):
-        for b in range(-a + 1, a + 1):
-            cmax = (limit + b * b) // (4 * a)
-            cmin = a if (b >= 0) else a + 1  # a = c requires b >= 0
-            if cmax < cmin:
-                continue
-            cs = np.arange(cmin, cmax + 1, dtype=np.int64)
-            gab = math.gcd(a, b)
-            if gab > 1:
-                cs = cs[np.gcd(cs, gab) == 1]
-                if cs.size == 0:
-                    continue
-            absD = 4 * a * cs - b * b
-            np.add.at(h, absD, 1)
+        width = 4 * a
+        rows = limit // width + 1
+        b = np.arange(a + 1)
+        column = -b * b % width
+        cols, which = np.unique(column, return_inverse=True)
+        first = a - (b * b + column) // width  # the row of c = a
+        top = int(first.min())
+        diff = np.zeros((rows - top, len(cols)), dtype=np.int32)
+        at_a = 4 * a * a - b * b <= limit
+        np.add.at(diff, (first[at_a] - top, which[at_a]), 1)
+        doubled = (4 * a * (a + 1) - b * b <= limit) & (b > 0) & (b < a)
+        np.add.at(diff, (first[doubled] - top + 1, which[doubled]), 1)
+        # a run past m = limit ends in the room after t[limit]
+        runs = np.cumsum(diff, axis=0, dtype=np.int32)
+        t[top * width : rows * width].reshape(-1, width)[:, cols] += runs
+    h = t[: limit + 1].astype(np.int64)
+    is_prime = np.ones(math.isqrt(limit) + 1, dtype=bool)
+    for p in range(2, len(is_prime)):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            h[p * p :: p * p] -= h[1 : limit // (p * p) + 1]  # numpy buffers the overlap
     return h
 
 

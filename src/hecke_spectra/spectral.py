@@ -41,13 +41,12 @@ class DiscreteMeasure:
 @dataclass(frozen=True)
 class ContinuousMeasure:
     kind: str  # "plancherel(p)" or "semicircle"
-    cdf: Callable[[float], float] = field(compare=False)
+    cdf: Callable = field(compare=False)  # a float or an ndarray of x in, the same out
 
     def __post_init__(self):
-        if abs(self.cdf(-2.0)) > 1e-9 or abs(self.cdf(2.0) - 1.0) > 1e-9:
+        vals = self.cdf(np.linspace(-2.0, 2.0, 10 ** 4))  # the grid ends are -2.0 and 2.0
+        if abs(vals[0]) > 1e-9 or abs(vals[-1] - 1.0) > 1e-9:
             raise ValueError(f"{self.kind}: cdf endpoints not (0, 1)")
-        grid = np.linspace(-2.0, 2.0, 10 ** 4)
-        vals = np.array([self.cdf(float(x)) for x in grid])
         if np.any(np.diff(vals) < -1e-12):
             raise ValueError(f"{self.kind}: cdf not monotone")
 
@@ -59,18 +58,28 @@ def _require_prime(p, who: str) -> int:
     return q
 
 
-def plancherel_cdf(p: int, x: float) -> float:
+def _float_or_array(v: np.ndarray):
+    return float(v) if v.ndim == 0 else v
+
+
+def plancherel_cdf(p: int, x):
     """CDF of Serre's Plancherel measure mu_p (J. AMS 10, 1997), of density (p+1)/pi
     (1-x^2/4)^{1/2} / ((p^{1/2}+p^{-1/2})^2-x^2): with x = -2 cos(theta), theta in [0, pi],
-    F_p(x) = ((p+1) theta - (p-1) Phi)/(2 pi), Phi = atan2((p+1) sin(theta), (p-1) cos(theta))."""
+    F_p(x) = ((p+1) theta - (p-1) Phi)/(2 pi), Phi = atan2((p+1) sin(theta), (p-1) cos(theta)).
+
+    x is a float (a float is returned) or an ndarray (an ndarray of its shape
+    is).  Both go through the same numpy ufuncs, so an array entry equals the
+    float at that x."""
     p = _require_prime(p, "plancherel_cdf")
-    if not -2.0 <= x <= 2.0:
+    x = np.asarray(x, dtype=float)
+    if not np.all((-2.0 <= x) & (x <= 2.0)):
         warnings.warn(f"plancherel_cdf: clamping x = {x} to [-2, 2]")
-        x = min(2.0, max(-2.0, x))
-    theta = math.acos(-x / 2.0)
-    phi = math.atan2((p + 1) * math.sin(theta), (p - 1) * math.cos(theta))
+        x = np.clip(x, -2.0, 2.0)
+    theta = np.arccos(-x / 2.0)
+    phi = np.arctan2((p + 1) * np.sin(theta), (p - 1) * np.cos(theta))
     # clipped: rounding can put F_p(2) past 1 (by 1.05e-13 at p = 1321)
-    return min(1.0, max(0.0, ((p + 1) * theta - (p - 1) * phi) / (2.0 * math.pi)))
+    f = np.clip(((p + 1) * theta - (p - 1) * phi) / (2.0 * math.pi), 0.0, 1.0)
+    return _float_or_array(f)
 
 
 @lru_cache(maxsize=32)
@@ -78,9 +87,12 @@ def plancherel_measure(p: int) -> ContinuousMeasure:
     return ContinuousMeasure(f"plancherel({p})", lambda x: plancherel_cdf(p, x))
 
 
-def semicircle_cdf(x: float) -> float:
-    x = min(2.0, max(-2.0, x))
-    return 0.5 + x * math.sqrt(4.0 - x * x) / (4.0 * math.pi) + math.asin(x / 2.0) / math.pi
+def semicircle_cdf(x):
+    """x is a float (a float is returned) or an ndarray (an ndarray of its
+    shape is), clamped to [-2, 2]."""
+    x = np.clip(np.asarray(x, dtype=float), -2.0, 2.0)
+    f = 0.5 + x * np.sqrt(4.0 - x * x) / (4.0 * math.pi) + np.arcsin(x / 2.0) / math.pi
+    return _float_or_array(f)
 
 
 def semicircle_measure() -> ContinuousMeasure:
@@ -240,11 +252,21 @@ def _u_total_variation(m: int) -> float:
 def discrepancy_lower_bound_moments(moment_diffs: Sequence[float], m: int) -> float:
     """|Delta_m| / (2 max|U_m| + TV(U_m)): any two probability measures on
     [-2,2] whose m-th Chebyshev moments differ by Delta_m have interval
-    discrepancy at least this (integration by parts)."""
+    discrepancy at least this (integration by parts).
+
+    TV(U_m) is bounded above, so the bound is certified: the grid sum of
+    _u_total_variation plus, for each of the at most m - 1 interior extrema
+    of f(x) = U_m(x/2), the M2 h^2/4 its grid cell can miss (f' = 0 there,
+    so f is within M2 d^2/2 of its extremum at distance d <= h/2 from the
+    nearer cell end; a cell holding k extrema misses at most k times that).
+    h = 4/20000 is that grid's step and M2 = max|f''| = U_m''(1)/4 =
+    (m-1)m(m+1)(m+2)(m+3)/60: every derivative of U_m peaks at 1 on [-1, 1]."""
     if m < 1 or m > len(moment_diffs):
         raise ValueError("discrepancy_lower_bound_moments: need 1 <= m <= len(diffs)")
     max_u = m + 1.0  # |U_m(x/2)| <= U_m(1) = m+1 on [-2,2]
-    return abs(moment_diffs[m - 1]) / (2.0 * max_u + _u_total_variation(m))
+    m2 = (m - 1) * m * (m + 1) * (m + 2) * (m + 3) / 60.0
+    missed = (m - 1) * m2 * (4.0 / 20000) ** 2 / 4.0
+    return abs(moment_diffs[m - 1]) / (2.0 * max_u + _u_total_variation(m) + missed)
 
 
 def trace_discrepancy_bound(n: int, k: int, N: int):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from hecke_spectra import class_numbers
+from hecke_spectra.arithmetic import kronecker_chi
 from hecke_spectra.class_numbers import (
     admissible_n0,
     build_r3_table,
@@ -196,3 +197,21 @@ def test_admissible_n0_properties():
         n0 = admissible_n0(N, n)
         if n0 is not None:
             assert n0 % 2 == 1 and 0 < n0 < 2 * N
+
+
+@pytest.mark.parametrize("limit", [1000, 4097])
+def test_form_table_brute_force(limit):
+    # every entry, D = -limit included; 0 where -m is not a discriminant
+    table = class_numbers.build_form_table(limit)
+    assert table.dtype == np.int64 and len(table) == limit + 1
+    want = [brute_class_number(-m) if m % 4 in (0, 3) else 0 for m in range(limit + 1)]
+    assert table.tolist() == want
+
+
+@pytest.mark.parametrize("D", [-65535, -65528, -65524, -49999, -40004, -32771])
+def test_form_table_dirichlet_class_number_formula(D):
+    # fundamental D < -4: h(D) = -(1/|D|) sum_{r=1}^{|D|} chi_D(r) r, checked
+    # exactly in integers at the size of table that spectral-window builds
+    table = class_numbers.build_form_table(1 << 16)
+    chi_sum = sum(kronecker_chi(D, r) * r for r in range(1, -D + 1))
+    assert -chi_sum == int(table[-D]) * -D

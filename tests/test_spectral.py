@@ -205,3 +205,38 @@ def test_discrepancy_bounded_by_one(xs):
     mu = DiscreteMeasure(atoms, tuple([w] * len(atoms)), 1.0)
     d = discrepancy(mu, semicircle_measure())
     assert 0.0 <= d <= 1.0 + 1e-12
+
+
+def test_cdfs_take_arrays_equal_to_their_floats():
+    from hecke_spectra.spectral import semicircle_cdf
+
+    grid = np.linspace(-2.0, 2.0, 10 ** 4)
+    for cdf in [lambda x: plancherel_cdf(p, x) for p in (2, 3, 101)] + [semicircle_cdf]:
+        vals = cdf(grid)
+        assert vals.shape == grid.shape
+        assert vals.tolist() == [cdf(x) for x in grid.tolist()]
+
+
+def test_plancherel_measure_checks_its_prime_once(monkeypatch):
+    from hecke_spectra import spectral
+
+    calls = []
+    require_prime = spectral._require_prime
+    def counting(p, who):
+        calls.append(p)
+        return require_prime(p, who)
+
+    monkeypatch.setattr(spectral, "_require_prime", counting)
+    plancherel_measure.__wrapped__(5)  # a fresh build, past the cache
+    assert calls == [5]
+
+
+def test_moment_lower_bound_denominator_covers_fine_grid_variation():
+    # the certified denominator against 2(m+1) plus the variation on a grid
+    # 100 times finer, from U_m(cos t) = sin((m+1)t)/sin(t)
+    theta = np.arccos(np.linspace(-2.0, 2.0, 2_000_001)[1:-1] / 2.0)
+    for m in (14, 40, 200):
+        u = np.concatenate([[(-1) ** m * (m + 1.0)], np.sin((m + 1) * theta) / np.sin(theta), [m + 1.0]])
+        fine_tv = float(np.sum(np.abs(np.diff(u))))
+        denominator = 1.0 / discrepancy_lower_bound_moments([0.0] * (m - 1) + [1.0], m)
+        assert denominator >= 2.0 * (m + 1) + fine_tv, m
