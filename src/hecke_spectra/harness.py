@@ -460,7 +460,8 @@ def _exp_arith_sum(cfg):
 
 def _exp_discrepancy(cfg):
     from .spectral import (check_discrepancy_cell, chebyshev_moment, discrepancy,
-                           empirical_mu_star, plancherel_measure, trace_discrepancy_bound)
+                           empirical_mu_star, plancherel_measure, recovery_route,
+                           trace_discrepancy_bound)
 
     cells = [
         {"k": k, "N": N, "p": p}
@@ -482,7 +483,7 @@ def _exp_discrepancy(cfg):
             "moment2_gap": chebyshev_moment(mu, 2) - chebyshev_moment(ref, 2),
             "trace_bound_at_p": trace_discrepancy_bound(p, k, N),
         }
-        return outputs, {"newton_digits": 40}
+        return outputs, recovery_route(N, len(mu.atoms))
 
     return _run_cells(cells, work, "discrepancy")
 

@@ -1,5 +1,6 @@
-"""Ground-truth generators: exact q-expansions of the one-dimensional level-1
-eigenform spaces, plus dimension and genus formulas.  Everything here is
+"""Ground-truth generators: exact q-expansions of the level-1 Miller bases
+and the one-dimensional eigenform spaces, the integer matrix of T_p on a
+Miller basis, plus dimension and genus formulas.  Everything here is
 independent of the trace-formula machinery and serves as its oracle.
 """
 
@@ -9,7 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
 
-from .arithmetic import _as_factored, divisors, kronecker_chi, nu_index
+from .arithmetic import _as_factored, divisors, factor, kronecker_chi, nu_index
 
 
 @dataclass(frozen=True)
@@ -121,22 +122,66 @@ def _eisenstein(k: int, n_max: int):
     raise ValueError("only E4 and E6 supported")
 
 
-_EIGENFORM_EXPONENTS = {12: (0, 0), 16: (1, 0), 18: (0, 1), 20: (2, 0), 22: (1, 1), 26: (2, 1)}
-
-
 @lru_cache(maxsize=16)
-def level_one_eigenform(k: int, n_max: int) -> QExpansion:
-    """The normalized eigenform E4^a E6^b Delta for the weights with dim 1."""
-    if k not in _EIGENFORM_EXPONENTS:
-        raise ValueError(f"level_one_eigenform: weight {k} space is not 1-dimensional")
-    a, b = _EIGENFORM_EXPONENTS[k]
-    tau = list(delta_tau(n_max).coefficients)
-    series = [0] + tau  # coefficient of q^0 is 0
-    if a:
-        series = poly_mul(series, _poly_pow(_eisenstein(4, n_max), a, n_max), n_max)
+def miller_basis(k: int, n_max: int) -> Tuple[QExpansion, ...]:
+    """The Miller basis g_1, ..., g_d of S_k(SL_2(Z)), d = dim_level_one(k), as
+    exact integer q-expansions to q^n_max: g_j = q^j + O(q^{d+1}).
+
+    Each g_j starts as Delta^j E4^a E6^b with 4a + 6b = k - 12j; b is the same
+    for every j, and a grows by 3 as j drops by 1, so the rows take one E4^3
+    and one Delta step each.  Clearing the q^{j+1..d} coefficients of g_j
+    with the rows below it gives the reduced form (W. Stein, Modular Forms:
+    A Computational Approach, AMS GSM 79, ch. 2)."""
+    d = dim_level_one(k)
+    if n_max < d:
+        raise ValueError(f"miller_basis: n_max >= dim S_{k}(1) = {d} required")
+    if d == 0:
+        return ()
+    rest = k - 12 * d  # 0, 4, 6, 8, 10 or 14: never 2
+    b = rest % 4 // 2
+    series = _poly_pow(_eisenstein(4, n_max), (rest - 6 * b) // 4, n_max)
     if b:
-        series = poly_mul(series, _poly_pow(_eisenstein(6, n_max), b, n_max), n_max)
-    return QExpansion(k, tuple(series[1 : n_max + 1]), True)
+        series = poly_mul(series, _eisenstein(6, n_max), n_max)
+    e4_cubed = _poly_pow(_eisenstein(4, n_max), 3, n_max)
+    delta = [0] + list(delta_tau(n_max).coefficients)
+    delta_pows = [delta]
+    for _ in range(d - 1):
+        delta_pows.append(poly_mul(delta_pows[-1], delta, n_max))
+    rows = {}
+    for j in range(d, 0, -1):
+        if j < d:
+            series = poly_mul(series, e4_cubed, n_max)
+        g = poly_mul(delta_pows[j - 1], series, n_max)
+        for i in range(j + 1, d + 1):
+            c = g[i]
+            if c:
+                g = [x - c * y for x, y in zip(g, rows[i])]
+        rows[j] = g
+    return tuple(QExpansion(k, tuple(rows[j][1:]), d == 1) for j in range(1, d + 1))
+
+
+def level_one_eigenform(k: int, n_max: int) -> QExpansion:
+    """The normalized eigenform E4^a E6^b Delta for the weights with dim 1:
+    the one-row Miller basis."""
+    if dim_level_one(k) != 1:
+        raise ValueError(f"level_one_eigenform: weight {k} space is not 1-dimensional")
+    return miller_basis(k, n_max)[0]
+
+
+def hecke_matrix_level_one(k: int, p: int) -> Tuple[Tuple[int, ...], ...]:
+    """The integer matrix of T_p (p prime) on the Miller basis of S_k(1):
+    M[i][j] = a_{g_j}(p i) + p^{k-1} a_{g_j}(i/p) for i, j = 1..d (row i - 1,
+    column j - 1 of the result), so column j holds the coordinates of T_p g_j.
+    It needs coefficients to q^{p d} only."""
+    if p < 2 or factor(p).factors != ((p, 1),):
+        raise ValueError(f"hecke_matrix_level_one: p must be prime, got {p}")
+    d = dim_level_one(k)
+    basis = miller_basis(k, p * d)
+    pk = p ** (k - 1)
+    return tuple(
+        tuple(g.a(p * i) + (pk * g.a(i // p) if i % p == 0 else 0) for g in basis)
+        for i in range(1, d + 1)
+    )
 
 
 def dim_level_one(k: int) -> int:

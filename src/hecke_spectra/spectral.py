@@ -157,8 +157,10 @@ def check_discrepancy_cell(k: int, N: int, p: int) -> int:
     """dim S_k(N)* if empirical_mu_star(k, N, p) can recover its measure
     (p a prime not dividing N); ValueError otherwise.
 
-    The trace at p^dim needs class numbers for |D| <= 4 p^dim, so dim is
-    limited both by 40 and by 4 p^dim <= 1e7 (dim <= 21 at p = 2)."""
+    The trace route's trace at p^dim needs class numbers for |D| <= 4 p^dim,
+    so dim is limited both by 40 and by 4 p^dim <= 1e7 (dim <= 21 at p = 2).
+    The Hecke-matrix route at N = 1 needs neither limit; it keeps them only so
+    that the accepted cells are the same at every level."""
     from .class_numbers import MAX_ABS_DISC
     from .eichler_selberg import trace_new
 
@@ -178,13 +180,25 @@ def check_discrepancy_cell(k: int, N: int, p: int) -> int:
     return d
 
 
-def empirical_mu_star(k: int, N: int, p: int):
-    """Atoms of the eigenvalue measure of T_p on the newform space, recovered
-    from the normalized traces at 1, p, ..., p^dim via Newton's identities;
-    check_discrepancy_cell says which (k, N, p) it accepts."""
+def recovery_route(N: int, dim: int) -> dict:
+    """How empirical_mu_star gets the eigenvalues of a cell of level N and
+    dimension dim, as the discrepancy records state it in provenance.
+
+    At N = 1 and dim >= 2 they are the eigenvalues of the integer matrix of
+    T_p on the Miller basis, which needs coefficients to q^{p dim} only.  At
+    dim = 1 (where p may be as large as 2.5e6) and at N > 1 they are the
+    roots of the polynomial that Newton's identities give from the traces."""
+    if N == 1 and dim >= 2:
+        return {"route": "hecke_matrix"}
+    return {"route": "newton", "newton_digits": _NEWTON_DPS}
+
+
+def _newton_roots(k: int, N: int, p: int, d: int) -> list:
+    """The eigenvalues of T_p / p^{(k-1)/2} on S_k(N)*, dim d, as the complex
+    roots of the polynomial whose power sums are the normalized traces at
+    1, p, ..., p^d (Newton's identities at _NEWTON_DPS digits)."""
     from .eichler_selberg import trace_new
 
-    d = check_discrepancy_cell(k, N, p)
     c = [trace_new(p ** m, k, N).total for m in range(d + 1)]
     with MP_CONTEXT_LOCK, mp.workdps(_NEWTON_DPS):
         s = _power_sums_from_chebyshev(c)
@@ -197,14 +211,39 @@ def empirical_mu_star(k: int, N: int, p: int):
                 f"empirical_mu_star({k},{N},{p}): Newton identities ill-conditioned"
             )
         poly = [(-1) ** i * e[i] for i in range(d + 1)]
-        roots = mp.polyroots(poly, maxsteps=200, extraprec=120)
+        return [complex(r) for r in mp.polyroots(poly, maxsteps=200, extraprec=120)]
+
+
+def _hecke_matrix_roots(k: int, p: int) -> list:
+    """The eigenvalues of T_p / p^{(k-1)/2} on S_k(1), from the exact integer
+    matrix of T_p on the Miller basis.  Each entry is divided by the integer
+    p^{(k-2)/2} in Python's correctly rounded int / int division, so no
+    entry overflows a float on its way to the matrix."""
+    from .oracles import hecke_matrix_level_one
+
+    scale = p ** ((k - 2) // 2)
+    sqrt_p = math.sqrt(p)
+    m = np.array([[x / scale / sqrt_p for x in row] for row in hecke_matrix_level_one(k, p)])
+    return [complex(r) for r in np.linalg.eigvals(m)]
+
+
+def empirical_mu_star(k: int, N: int, p: int):
+    """The eigenvalue measure of T_p / p^{(k-1)/2} on the newform space;
+    check_discrepancy_cell says which (k, N, p) it accepts (at N = 1 its
+    4 p^dim <= 1e7 rule is kept only so that the accepted cells stay the
+    same), and recovery_route which route computes the eigenvalues."""
+    d = check_discrepancy_cell(k, N, p)
+    if recovery_route(N, d)["route"] == "hecke_matrix":
+        roots = _hecke_matrix_roots(k, p)
+    else:
+        roots = _newton_roots(k, N, p, d)
     atoms = []
     for r in roots:
-        if abs(mp.im(r)) > 1e-4 or abs(mp.re(r)) > 2.0 + 1e-4:
+        if abs(r.imag) > 1e-4 or abs(r.real) > 2.0 + 1e-4:
             raise ArithmeticError(
                 f"empirical_mu_star({k},{N},{p}): root {r} outside the eigenvalue range"
             )
-        atoms.append(min(2.0, max(-2.0, float(mp.re(r)))))
+        atoms.append(min(2.0, max(-2.0, r.real)))
     atoms.sort()
     return DiscreteMeasure(tuple(atoms), tuple([1.0 / d] * d), 1.0)
 

@@ -85,6 +85,14 @@ def test_run_experiment_trace_oracle():
     assert "truncation" in recs[0].provenance
 
 
+def test_discrepancy_records_state_their_route():
+    recs = run_experiment("discrepancy", {"k": "12,24", "N": "1,3", "p": "2"})
+    routes = {(r.parameters["k"], r.parameters["N"]): r.provenance["truncation"] for r in recs}
+    assert routes[(12, 1)] == {"route": "newton", "newton_digits": 40}
+    assert routes[(24, 1)] == {"route": "hecke_matrix"}
+    assert routes[(24, 3)]["route"] == "newton"
+
+
 def test_unknown_experiment_and_bad_config():
     with pytest.raises(ConfigError):
         run_experiment("frobnicate", {})

@@ -1,11 +1,16 @@
 import math
 
-from hecke_spectra.arithmetic import sigma
+import pytest
+
+from hecke_spectra.arithmetic import divisors, sigma
+from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.oracles import (
     delta_tau,
     dim_level_one,
     genus_X0,
+    hecke_matrix_level_one,
     level_one_eigenform,
+    miller_basis,
 )
 
 
@@ -49,6 +54,45 @@ def test_eigenform_hecke_recursion():
         f = level_one_eigenform(k, 128)
         for e in range(1, 6):
             assert f.a(2 ** (e + 1)) == f.a(2) * f.a(2 ** e) - 2 ** (k - 1) * f.a(2 ** (e - 1))
+
+
+def test_miller_basis_is_reduced():
+    for k in (12, 24, 38, 48, 96):
+        d = dim_level_one(k)
+        basis = miller_basis(k, 3 * d)
+        assert len(basis) == d
+        for j, g in enumerate(basis, 1):
+            assert [g.a(i) for i in range(1, d + 1)] == [int(i == j) for i in range(1, d + 1)]
+    assert miller_basis(26, 40)[0] is level_one_eigenform(26, 40)
+    with pytest.raises(ValueError):
+        level_one_eigenform(24, 10)
+
+
+def test_miller_basis_traces_match_trace_formula():
+    # Tr T_n = sum_i a_{T_n g_i}(i), exact in integers, with
+    # a_{T_n g}(m) = sum_{e | (n, m)} e^{k-1} a_g(nm/e^2)
+    for k in range(24, 97, 12):
+        basis = miller_basis(k, 12 * dim_level_one(k))
+        for n in range(1, 13):
+            tr = sum(
+                e ** (k - 1) * g.a(n * i // (e * e))
+                for i, g in enumerate(basis, 1)
+                for e in divisors(math.gcd(n, i))
+            )
+            want = tr / n ** ((k - 1) / 2.0)
+            assert abs(trace_new(n, k, 1).total - want) <= 1e-12 * abs(want), (k, n)
+
+
+def test_hecke_matrix_agrees_with_traces():
+    # the trace of the T_p matrix is Tr T_p, its entries are integers
+    for (k, p) in [(24, 2), (36, 3), (60, 7)]:
+        m = hecke_matrix_level_one(k, p)
+        assert len(m) == dim_level_one(k)
+        assert all(isinstance(x, int) for row in m for x in row)
+        want = sum(m[i][i] for i in range(len(m))) / p ** ((k - 1) / 2.0)
+        assert abs(trace_new(p, k, 1).total - want) <= 1e-12 * abs(want), (k, p)
+    with pytest.raises(ValueError):
+        hecke_matrix_level_one(24, 4)
 
 
 def test_dim_level_one():

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.spectral import (
     DiscreteMeasure,
+    _newton_roots,
     check_discrepancy_cell,
     chebyshev_moment,
     discrepancy,
@@ -17,6 +18,7 @@ from hecke_spectra.spectral import (
     nu_moment,
     plancherel_cdf,
     plancherel_measure,
+    recovery_route,
     semicircle_measure,
     trace_discrepancy_bound,
 )
@@ -117,6 +119,19 @@ def test_empirical_roundtrip_moments():
         for m in range(d + 1):
             want = trace_new(p ** m, k, N).total / d
             assert abs(chebyshev_moment(mu, m) - want) < 1e-6, (k, N, p, m)
+
+
+def test_hecke_route_matches_newton_route():
+    # at N = 1 the Hecke-matrix eigenvalues against the trace route they replace
+    for (k, N, p) in [(96, 1, 3), (120, 1, 2), (60, 1, 7)]:
+        d = check_discrepancy_cell(k, N, p)
+        assert recovery_route(N, d) == {"route": "hecke_matrix"}
+        newton = sorted(r.real for r in _newton_roots(k, N, p, d))
+        atoms = empirical_mu_star(k, N, p).atoms
+        assert len(atoms) == d
+        assert max(abs(a - b) for a, b in zip(atoms, newton)) < 1e-9, (k, N, p)
+    assert recovery_route(1, 1)["route"] == "newton"
+    assert recovery_route(11, 2) == {"route": "newton", "newton_digits": 40}
 
 
 def test_empirical_requires_coprime():
