@@ -19,6 +19,12 @@ needed only for prime powers; the units are sieved out of range(q) and
 their inverses come from one routine, `_unit_inverses` (blocked batch
 inversion).  The inverses are exact integers, so the route to them never
 moves a sum.
+
+`kloosterman_sum_fast` also takes an int array of c, which is how the walk
+calls it: once per distinct (m, n) over every c its tasks need.  The prime
+powers of all those c and the r* come from one cached table, each distinct
+(m r*, n r*, q) is summed once, a batch per q, and the product over q is
+taken in increasing p, so each entry equals the scalar form bit for bit.
 """
 
 from __future__ import annotations
@@ -52,13 +58,24 @@ class KloostermanValue:
             )
 
 
-@lru_cache(maxsize=512)
-def _units_and_inverses(c: int):
-    """All units mod c and their inverses, as int64 arrays."""
+@lru_cache(maxsize=4096)
+def _unit_table(c: int):
+    """All units mod c, ascending, and their inverses in [1, c), stored as
+    int16 for c <= 2^15 and int32 above, like `_half_units`, so the cache
+    holds every c <= 3000 in about 11 MB.  The inverses are computed for the
+    whole range, not mirrored from the half table, so that a wrong inverse
+    breaks the x <-> -x cancellation of the imaginary part."""
     if c == 1:
-        return np.array([0], dtype=np.int64), np.array([0], dtype=np.int64)
+        return np.array([0], dtype=np.int16), np.array([0], dtype=np.int16)
     x = _units_below(c, c)
-    return x, _unit_inverses(x, c)
+    dtype = np.int16 if c <= 2 ** 15 else np.int32
+    return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
+
+
+def _units_and_inverses(c: int):
+    """All units mod c, ascending, and their inverses, as int64 arrays."""
+    x, inv = _unit_table(c)
+    return x.astype(np.int64), inv.astype(np.int64)
 
 
 def kloosterman_sum(m: int, n: int, c: int) -> KloostermanValue:
@@ -69,9 +86,10 @@ def kloosterman_sum(m: int, n: int, c: int) -> KloostermanValue:
         return KloostermanValue(m, n, 1, 1.0, 0.0)
     x, inv = _units_and_inverses(c)
     ang = (2.0 * math.pi / c) * (((m % c) * x + (n % c) * inv) % c)
-    # fsum gives exactly rounded accumulation of the cosine/sine terms
+    # fsum rounds the real part exactly; the imaginary part is only a
+    # residual held to 1e-10, far above np.sum's rounding
     re = math.fsum(np.cos(ang).tolist())
-    im = math.fsum(np.sin(ang).tolist())
+    im = float(np.sum(np.sin(ang)))
     return KloostermanValue(m, n, c, re, abs(im))
 
 
@@ -135,21 +153,129 @@ def _half_units(c: int):
     return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
 
 
+def _prime_power_sums(a, b, q: int):
+    """S(a,b;q) for a prime power q and 0 <= a, b < q, by paired summation.
+    a and b are ints (a float64 scalar is returned) or equal-length int
+    arrays (one sum per entry, each a row sum along the last axis, which
+    equals the 1-D np.sum of that row bit for bit)."""
+    if q == 2:
+        return np.where((a + b) % 2 == 0, 1.0, -1.0)
+    x, inv = _half_units(q)
+    # a x + b x* < 2 q^2 fits int32 for q <= 2^15; the integers are exact either way
+    dtype = np.int32 if q <= 2 ** 15 else np.int64
+    a = np.asarray(a, dtype=dtype)[..., None]
+    b = np.asarray(b, dtype=dtype)[..., None]
+    ang = (2.0 * math.pi / q) * ((a * x.astype(dtype) + b * inv.astype(dtype)) % q)
+    return 2.0 * np.sum(np.cos(ang), axis=-1)
+
+
 @lru_cache(maxsize=4096)
 def _prime_power_sum(a: int, b: int, q: int) -> float:
-    """S(a,b;q) for a prime power q and 0 <= a, b < q, by paired summation."""
-    if q == 2:
-        return 1.0 if (a + b) % 2 == 0 else -1.0
-    x, inv = _half_units(q)
-    ang = (2.0 * math.pi / q) * ((a * x.astype(np.int64) + b * inv.astype(np.int64)) % q)
-    return 2.0 * float(np.sum(np.cos(ang)))
+    """S(a,b;q) for a prime power q and 0 <= a, b < q, memoized for scalar c."""
+    return float(_prime_power_sums(a, b, q))
 
 
-def kloosterman_sum_fast(m: int, n: int, c: int) -> float:
+def _smallest_prime_factors(size: int) -> np.ndarray:
+    """spf[c] = the smallest prime dividing c, for 2 <= c < size; spf[0] = spf[1] = 1."""
+    spf = np.arange(size, dtype=np.int64)
+    spf[:2] = 1
+    for p in range(2, math.isqrt(size - 1) + 1):
+        if spf[p] == p:
+            tail = spf[p * p::p]
+            tail[tail == np.arange(p * p, size, p)] = p
+    return spf
+
+
+@lru_cache(maxsize=None)
+def _twists(bits: int):
+    """(q, rbar), int64 arrays of shape (J, 2^bits): column c holds the prime
+    powers q || c in increasing p, one per row and 1 past the last, and beside
+    each q the inverse rbar of c/q mod q (0 where q = 1).  Peeled off all c at
+    once with a smallest-prime-factor sieve; rbar = (c/q)^(phi(q) - 1) mod q by
+    one square-and-multiply ladder.  Cached per power of two, so a walk's
+    tables take at most twice the largest."""
+    size = 1 << bits
+    spf = _smallest_prime_factors(size)
+    rem = np.arange(size, dtype=np.int64)
+    live = np.arange(2, size)
+    qs, rbars = [], []
+    while live.size:
+        r = rem[live]
+        p = spf[r]
+        q = p.copy()
+        r //= p
+        peel = np.flatnonzero(r % p == 0)
+        while peel.size:
+            q[peel] *= p[peel]
+            r[peel] //= p[peel]
+            peel = peel[r[peel] % p[peel] == 0]
+        e = q - q // p - 1  # phi(q) - 1
+        base = live // q % q
+        rbar = np.ones_like(q)
+        while e.any():
+            rbar = np.where(e & 1, rbar * base % q, rbar)
+            base = base * base % q
+            e >>= 1
+        qs.append(np.ones(size, dtype=np.int64))
+        rbars.append(np.zeros(size, dtype=np.int64))
+        qs[-1][live], rbars[-1][live] = q, rbar
+        rem[live] = r
+        live = live[r > 1]
+    return (np.array(qs, dtype=np.int64).reshape(-1, size),
+            np.array(rbars, dtype=np.int64).reshape(-1, size))
+
+
+def _kloosterman_sums(m: int, n: int, c: np.ndarray) -> np.ndarray:
+    """kloosterman_sum_fast at every entry of the int array c (m and n within
+    int64): each distinct (a, b, q) over all of c is evaluated once, a batch
+    per q, and each c's prime-power values are multiplied in increasing p, as
+    the scalar form does (the 1.0 past a c's last prime power is an exact
+    factor)."""
+    c = np.asarray(c, dtype=np.int64)
+    if c.size == 0:
+        return np.ones(c.shape)
+    if c.min() < 1:
+        raise ValueError("kloosterman_sum_fast: c must be positive")
+    q_tab, rbar_tab = _twists(int(c.max()).bit_length())
+    q, rbar = q_tab[:, c], rbar_tab[:, c]
+    live = q > 1
+    q, rbar = q[live], rbar[live]
+    a = m % q * rbar % q
+    b = n % q * rbar % q
+    # each distinct (q, a, b) once: sorted, so each q's rows are one batch
+    # (np.unique(axis=0) does the same but sorts much slower)
+    order = np.lexsort((b, a, q))
+    q, a, b = q[order], a[order], b[order]
+    new = np.ones(q.size, dtype=bool)
+    new[1:] = (q[1:] != q[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
+    first = np.flatnonzero(new)
+    q, a, b = q[first], a[first], b[first]
+    sums = np.empty(first.size)
+    cuts = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), q.size]
+    for lo, hi in zip(cuts, cuts[1:]):
+        sums[lo:hi] = _prime_power_sums(a[lo:hi], b[lo:hi], int(q[lo]))
+    values = np.empty(order.size)
+    values[order] = sums[np.cumsum(new) - 1]
+    factors = np.ones(live.shape)
+    factors[live] = values
+    s = np.ones(c.shape)
+    for row in factors:
+        s *= row
+    return s
+
+
+def kloosterman_sum_fast(m: int, n: int, c):
     """S(m,n;c) by twisted multiplicativity: the product over q || c of
-    S(m r*, n r*; q), r = c/q and r* its inverse mod q; no per-value
-    certification (the harness-facing kloosterman_sum is the certified
-    evaluator)."""
+    S(m r*, n r*; q), r = c/q and r* its inverse mod q, in increasing p; no
+    per-value certification (the harness-facing kloosterman_sum is the
+    certified evaluator).
+
+    c is an int (a float is returned) or an int ndarray (an ndarray of its
+    shape is, each entry equal bit for bit to the float at that c).  A scalar
+    c reads its prime powers from `factor` and memoizes each prime-power sum;
+    an array shares each distinct prime-power sum across all its c."""
+    if isinstance(c, np.ndarray):
+        return _kloosterman_sums(m, n, c)
     s = 1.0
     for p, e in factor(c).factors:
         q = p ** e

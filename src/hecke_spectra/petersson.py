@@ -3,6 +3,10 @@ their transition-window main terms, and the appendix orbital integral.
 
 The c-sum is evaluated with scipy's J-Bessel (cross-checked in tests against
 the certified quadrature evaluator) and the paired Kloosterman fast path.
+Each summed task's c-range is certified before any term is summed, so one
+kloosterman_sum_fast call per distinct (m, n) covers every c its tasks need,
+and one jv call per task covers that task's c; each task then adds its terms
+in increasing c.
 Truncations are certified: each c-tail from the exponential regime of J_nu
 past x = 0.8 nu, and delta_new's l-tail past _L_MAX by Deligne's bound
 (Deligne, La conjecture de Weil I, 1974; as in Iwaniec-Luo-Sarnak 2000, sec. 2):
@@ -108,31 +112,26 @@ class _Task:
 
 def _run_c_sums(tasks: List[_Task]) -> None:
     """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
-    into each task: one walk over c for all tasks, one jv call per c, and one
-    kloosterman_sum_fast call per distinct (m_eff, n) at each c, whose value
-    every task with that pair adds.  Each task still adds its own terms in
-    increasing c, so sharing moves no bit of any acc."""
+    into each task.  Every task's c_stop is fixed before any sum, so each
+    distinct (m_eff, n) takes one kloosterman_sum_fast call over every c its
+    tasks need, and each task one jv call over its own c.  A task adds its
+    terms in increasing c by sequential float addition (cumsum, never the
+    pairwise np.sum), as a walk over c one at a time would."""
+    pairs = {}
     for t in tasks:
         t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
         g0 = math.gcd(t.m_eff, t.n)
         target = 1e-12 / max(abs(t.weight), 1e-6)
         t.c_stop, t.tail = _c_stop(t.nu, t.x0, t.step, g0, target)
-    # longest walk first, so the tasks still running at c are a prefix
-    live = sorted(tasks, key=lambda t: -t.c_stop)
-    c_max = live[0].c_stop if live else 0
-    for c in range(1, c_max + 1):
-        while live[-1].c_stop < c:
-            live.pop()
-        active = [t for t in live if c % t.step == 0]
-        if not active:
-            continue
-        js = jv([t.nu for t in active], [t.x0 / c for t in active])
-        sums = {}
-        for t, j in zip(active, js):
-            key = (t.m_eff, t.n)
-            if key not in sums:
-                sums[key] = kloosterman_sum_fast(t.m_eff, t.n, c)
-            t.acc += sums[key] / c * float(j)
+        pairs.setdefault((t.m_eff, t.n), []).append(t)
+    for (m, n), group in pairs.items():
+        cs = np.unique(np.concatenate(
+            [np.arange(t.step, t.c_stop + 1, t.step) for t in group]))
+        sums = kloosterman_sum_fast(m, n, cs)
+        for t in group:
+            c = np.arange(t.step, t.c_stop + 1, t.step)
+            terms = sums[np.searchsorted(cs, c)] / c * jv(t.nu, t.x0 / c)
+            t.acc = float(np.cumsum(terms)[-1])
 
 
 def _full_cell(k: int, N: int, m: int, n: int):

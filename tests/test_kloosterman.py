@@ -88,6 +88,18 @@ def test_fast_matches_certified_at_every_c():
             assert abs(kloosterman_sum_fast(m, n, c) - want) < 1e-9, (m, n, c)
 
 
+def test_array_form_equals_scalar_form_bit_for_bit():
+    # the array form batches the prime-power sums over all c but must return
+    # exactly the floats of one scalar call per c
+    cs = np.array([*range(1, 1201), 2 ** 12, 3 ** 7, 5 ** 5, 30030, 13835, 13860])
+    for m, n in _CRT_PAIRS:
+        scalar = np.array([kloosterman_sum_fast(m, n, int(c)) for c in cs])
+        assert np.array_equal(kloosterman_sum_fast(m, n, cs), scalar), (m, n)
+    assert kloosterman_sum_fast(1, 1, np.array([], dtype=np.int64)).shape == (0,)
+    with pytest.raises(ValueError):
+        kloosterman_sum_fast(1, 1, np.array([3, 0]))
+
+
 def test_symmetry_in_m_n():
     for (m, n, c) in [(2, 5, 31), (1, 7, 64), (3, 11, 100), (4, 9, 77)]:
         assert abs(kloosterman_sum(m, n, c).value - kloosterman_sum(n, m, c).value) < 1e-10

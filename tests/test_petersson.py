@@ -82,9 +82,9 @@ def test_shared_walk_matches_one_call_per_cell():
 def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
     calls = []
 
-    def counting(m, n, c):
-        calls.append((m, n, c))
-        return kloosterman_sum_fast(m, n, c)
+    def counting(m, n, cs):
+        calls.extend((m, n, int(c)) for c in cs)
+        return kloosterman_sum_fast(m, n, cs)
 
     monkeypatch.setattr(petersson, "kloosterman_sum_fast", counting)
     cells = [(k, N, 1, n) for k in (4, 8, 12) for N in (1, 3) for n in (1, 2)]
@@ -92,6 +92,32 @@ def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
     # each full-level cell sums S(m, n; c) over c = 0 mod N up to its c_max
     wanted = {(m, n, c) for (_, N, m, n), r in zip(cells, results) for c in range(N, r.c_max + 1, N)}
     assert len(calls) == len(wanted) and set(calls) == wanted
+
+
+def _per_c_walk(tasks):
+    """The walk one c at a time, with scalar Kloosterman and Bessel calls:
+    each task adds S(m_eff, n; c)/c J_nu(x0/c) to its acc in increasing c."""
+    for t in tasks:
+        t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
+        target = 1e-12 / max(abs(t.weight), 1e-6)
+        t.c_stop, t.tail = petersson._c_stop(t.nu, t.x0, t.step, math.gcd(t.m_eff, t.n), target)
+    for c in range(1, max(t.c_stop for t in tasks) + 1):
+        for t in tasks:
+            if c % t.step == 0 and c <= t.c_stop:
+                t.acc += kloosterman_sum_fast(t.m_eff, t.n, c) / c * float(petersson.jv(t.nu, t.x0 / c))
+
+
+def test_walk_matches_a_walk_one_c_at_a_time(monkeypatch):
+    # every task's terms come out of the batched walk as the same floats,
+    # added in the same order: steps N = 1, 2, 3, 6 and repeated (m, n)
+    monkeypatch.setattr(petersson, "_L_MAX", 100)
+    for kind, cells in [("new", [(24, 6, 1, 5), (12, 6, 1, 7)]),
+                        ("full", [(12, 3, 1, 2), (16, 3, 1, 2), (12, 1, 1, 2)])]:
+        batched = petersson_cells(kind, cells)
+        monkeypatch.setattr(petersson, "_run_c_sums", _per_c_walk)
+        assert batched == petersson_cells(kind, cells), kind
+        monkeypatch.undo()
+        monkeypatch.setattr(petersson, "_L_MAX", 100)
 
 
 def test_petersson_cells_rejects_unknown_kind():
