@@ -145,9 +145,10 @@ def _half_units(c: int):
     used with the x <-> c-x pairing, which makes the sum 2*sum(cos) and
     exactly real.  Built by `_units_below` and `_unit_inverses` and stored
     as int16 for c <= 2^15 and int32 above (c <= 2^31), which keeps a long
-    walk's tables small; callers widen them to int64 before any product.
-    `kloosterman_sum_fast` asks only for the prime powers q || c: about 1.8k
-    of them below 15k, which the cache holds at once."""
+    walk's tables small; callers widen them before any product.
+    `kloosterman_sum_fast` caches only the prime powers q <= 2^14, all 1,961
+    of which the cache holds at once, and builds larger ones afresh: a walk
+    to c = 50803 otherwise kept 291 MB of them, each used about once."""
     x = _units_below(c, (c + 1) // 2)
     dtype = np.int16 if c <= 2 ** 15 else np.int32
     return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
@@ -160,7 +161,7 @@ def _prime_power_sums(a, b, q: int):
     equals the 1-D np.sum of that row bit for bit)."""
     if q == 2:
         return np.where((a + b) % 2 == 0, 1.0, -1.0)
-    x, inv = _half_units(q)
+    x, inv = _half_units(q) if q <= 2 ** 14 else _half_units.__wrapped__(q)
     # a x + b x* < 2 q^2 fits int32 for q <= 2^15; the integers are exact either way
     dtype = np.int32 if q <= 2 ** 15 else np.int64
     a = np.asarray(a, dtype=dtype)[..., None]
@@ -192,8 +193,8 @@ def _twists(bits: int):
     powers q || c in increasing p, one per row and 1 past the last, and beside
     each q the inverse rbar of c/q mod q (0 where q = 1).  Peeled off all c at
     once with a smallest-prime-factor sieve; rbar = (c/q)^(phi(q) - 1) mod q by
-    one square-and-multiply ladder.  Cached per power of two, so a walk's
-    tables take at most twice the largest."""
+    one square-and-multiply ladder.  Cached per power of two up to
+    _TWIST_MAX, so all the tables take at most twice the largest."""
     size = 1 << bits
     spf = _smallest_prime_factors(size)
     rem = np.arange(size, dtype=np.int64)
@@ -225,17 +226,25 @@ def _twists(bits: int):
             np.array(rbars, dtype=np.int64).reshape(-1, size))
 
 
+_TWIST_MAX = 1 << 16  # c past this take the scalar route, so no table tops ~6 MB
+
+
 def _kloosterman_sums(m: int, n: int, c: np.ndarray) -> np.ndarray:
     """kloosterman_sum_fast at every entry of the int array c (m and n within
-    int64): each distinct (a, b, q) over all of c is evaluated once, a batch
-    per q, and each c's prime-power values are multiplied in increasing p, as
-    the scalar form does (the 1.0 past a c's last prime power is an exact
-    factor)."""
+    int64).  Below _TWIST_MAX each distinct (a, b, q) over all of c is
+    evaluated once, a batch per q, and each c's prime-power values are
+    multiplied in increasing p, as the scalar form does (the 1.0 past a c's
+    last prime power is an exact factor).  Larger c take one scalar call
+    each, which needs no table."""
     c = np.asarray(c, dtype=np.int64)
-    if c.size == 0:
-        return np.ones(c.shape)
-    if c.min() < 1:
+    if c.size and c.min() < 1:
         raise ValueError("kloosterman_sum_fast: c must be positive")
+    s = np.ones(c.shape)
+    big = c >= _TWIST_MAX
+    s[big] = [kloosterman_sum_fast(m, n, int(x)) for x in c[big]]
+    c = c[~big]
+    if not c.size:
+        return s
     q_tab, rbar_tab = _twists(int(c.max()).bit_length())
     q, rbar = q_tab[:, c], rbar_tab[:, c]
     live = q > 1
@@ -258,9 +267,10 @@ def _kloosterman_sums(m: int, n: int, c: np.ndarray) -> np.ndarray:
     values[order] = sums[np.cumsum(new) - 1]
     factors = np.ones(live.shape)
     factors[live] = values
-    s = np.ones(c.shape)
+    product = np.ones(c.shape)
     for row in factors:
-        s *= row
+        product *= row
+    s[~big] = product
     return s
 
 
@@ -273,7 +283,8 @@ def kloosterman_sum_fast(m: int, n: int, c):
     c is an int (a float is returned) or an int ndarray (an ndarray of its
     shape is, each entry equal bit for bit to the float at that c).  A scalar
     c reads its prime powers from `factor` and memoizes each prime-power sum;
-    an array shares each distinct prime-power sum across all its c."""
+    an array shares each distinct prime-power sum across all its c below
+    _TWIST_MAX."""
     if isinstance(c, np.ndarray):
         return _kloosterman_sums(m, n, c)
     s = 1.0

@@ -110,13 +110,17 @@ class _Task:
     acc: float = 0.0
 
 
+_C_BLOCK = 1 << 16  # c per block of the walk, which bounds its arrays whatever c_stop is
+
+
 def _run_c_sums(tasks: List[_Task]) -> None:
     """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
-    into each task.  Every task's c_stop is fixed before any sum, so each
-    distinct (m_eff, n) takes one kloosterman_sum_fast call over every c its
-    tasks need, and each task one jv call over its own c.  A task adds its
-    terms in increasing c by sequential float addition (cumsum, never the
-    pairwise np.sum), as a walk over c one at a time would."""
+    into each task.  Every task's c_stop is fixed before any sum, so in each
+    block of _C_BLOCK values of c, each distinct (m_eff, n) takes one
+    kloosterman_sum_fast call over every c its tasks need, and each task one
+    jv call over its own c.  A task adds its terms in increasing c by
+    sequential float addition (cumsum, never the pairwise np.sum), as a walk
+    over c one at a time would."""
     pairs = {}
     for t in tasks:
         t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
@@ -125,13 +129,15 @@ def _run_c_sums(tasks: List[_Task]) -> None:
         t.c_stop, t.tail = _c_stop(t.nu, t.x0, t.step, g0, target)
         pairs.setdefault((t.m_eff, t.n), []).append(t)
     for (m, n), group in pairs.items():
-        cs = np.unique(np.concatenate(
-            [np.arange(t.step, t.c_stop + 1, t.step) for t in group]))
-        sums = kloosterman_sum_fast(m, n, cs)
-        for t in group:
-            c = np.arange(t.step, t.c_stop + 1, t.step)
-            terms = sums[np.searchsorted(cs, c)] / c * jv(t.nu, t.x0 / c)
-            t.acc = float(np.cumsum(terms)[-1])
+        for lo in range(0, max(t.c_stop for t in group), _C_BLOCK):
+            # each task's c in (lo, lo + _C_BLOCK]
+            ranges = [np.arange(t.step * (lo // t.step + 1), min(t.c_stop, lo + _C_BLOCK) + 1, t.step)
+                      for t in group]
+            cs = np.unique(np.concatenate(ranges))
+            sums = kloosterman_sum_fast(m, n, cs)
+            for t, c in zip(group, ranges):
+                terms = sums[np.searchsorted(cs, c)] / c * jv(t.nu, t.x0 / c)
+                t.acc = float(np.cumsum(np.concatenate(([t.acc], terms)))[-1])
 
 
 def _full_cell(k: int, N: int, m: int, n: int):

@@ -91,7 +91,9 @@ def test_fast_matches_certified_at_every_c():
 def test_array_form_equals_scalar_form_bit_for_bit():
     # the array form batches the prime-power sums over all c but must return
     # exactly the floats of one scalar call per c
-    cs = np.array([*range(1, 1201), 2 ** 12, 3 ** 7, 5 ** 5, 30030, 13835, 13860])
+    # past _TWIST_MAX, c take the scalar route inside the same array
+    cs = np.array([*range(1, 1201), 2 ** 12, 3 ** 7, 5 ** 5, 30030, 13835, 13860,
+                   2 ** 16 - 1, 2 ** 16, 2 * 65537, 3 ** 11])
     for m, n in _CRT_PAIRS:
         scalar = np.array([kloosterman_sum_fast(m, n, int(c)) for c in cs])
         assert np.array_equal(kloosterman_sum_fast(m, n, cs), scalar), (m, n)

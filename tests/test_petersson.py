@@ -109,15 +109,17 @@ def _per_c_walk(tasks):
 
 def test_walk_matches_a_walk_one_c_at_a_time(monkeypatch):
     # every task's terms come out of the batched walk as the same floats,
-    # added in the same order: steps N = 1, 2, 3, 6 and repeated (m, n)
+    # added in the same order: steps N = 1, 2, 3, 6, repeated (m, n), and
+    # the walk cut into blocks of c
     monkeypatch.setattr(petersson, "_L_MAX", 100)
-    for kind, cells in [("new", [(24, 6, 1, 5), (12, 6, 1, 7)]),
-                        ("full", [(12, 3, 1, 2), (16, 3, 1, 2), (12, 1, 1, 2)])]:
-        batched = petersson_cells(kind, cells)
-        monkeypatch.setattr(petersson, "_run_c_sums", _per_c_walk)
-        assert batched == petersson_cells(kind, cells), kind
-        monkeypatch.undo()
-        monkeypatch.setattr(petersson, "_L_MAX", 100)
+    runs = [("new", [(24, 6, 1, 5), (12, 6, 1, 7)]),
+            ("full", [(12, 3, 1, 2), (16, 3, 1, 2), (12, 1, 1, 2)])]
+    batched = [petersson_cells(kind, cells) for kind, cells in runs]
+    # blocks of 50 c: tasks whose c_stop ends inside a block, or before it
+    monkeypatch.setattr(petersson, "_C_BLOCK", 50)
+    assert [petersson_cells(kind, cells) for kind, cells in runs] == batched
+    monkeypatch.setattr(petersson, "_run_c_sums", _per_c_walk)
+    assert [petersson_cells(kind, cells) for kind, cells in runs] == batched
 
 
 def test_petersson_cells_rejects_unknown_kind():
