@@ -115,8 +115,8 @@ def test_walk_matches_a_walk_one_c_at_a_time(monkeypatch):
     runs = [("new", [(24, 6, 1, 5), (12, 6, 1, 7)]),
             ("full", [(12, 3, 1, 2), (16, 3, 1, 2), (12, 1, 1, 2)])]
     batched = [petersson_cells(kind, cells) for kind, cells in runs]
-    # blocks of 50 c: tasks whose c_stop ends inside a block, or before it
-    monkeypatch.setattr(petersson, "_C_BLOCK", 50)
+    # blocks of 500 c (c_max is 4526): tasks whose c_stop ends inside a block, or before it
+    monkeypatch.setattr(petersson, "_C_BLOCK", 500)
     assert [petersson_cells(kind, cells) for kind, cells in runs] == batched
     monkeypatch.setattr(petersson, "_run_c_sums", _per_c_walk)
     assert [petersson_cells(kind, cells) for kind, cells in runs] == batched
