@@ -25,11 +25,6 @@ from . import __version__
 
 CACHE_ENV = "HECKE_SPECTRA_CACHE"
 
-EXPERIMENTS = (
-    "trace", "petersson", "maint", "bessel-sum", "noweight", "variance",
-    "arith-sum", "discrepancy", "orbital", "verify",
-)
-
 
 class ConfigError(Exception):
     pass
@@ -637,6 +632,7 @@ _DRIVERS = {
     "orbital": (_exp_orbital, {"k", "t"}),
     "verify": (_exp_verify, {"scope"}),
 }
+EXPERIMENTS = tuple(_DRIVERS)
 _CLI_KEYS = {"experiment", "out", "csv", "threads"}
 
 

@@ -248,6 +248,8 @@ def _kloosterman_sums(m: int, n: int, c: np.ndarray) -> np.ndarray:
     q_tab, rbar_tab = _twists(int(c.max()).bit_length())
     q, rbar = q_tab[:, c], rbar_tab[:, c]
     live = q > 1
+    if not live.any():  # every c is 1: no prime power, so S = 1
+        return s
     q, rbar = q[live], rbar[live]
     a = m % q * rbar % q
     b = n % q * rbar % q

@@ -29,6 +29,7 @@ from scipy.special import jv
 
 from .arithmetic import divisors, euler_phi, factor, mobius, sigma
 from .kloosterman import kloosterman_sum_fast
+from .special_functions import _log_series_head, bessel_j
 
 _L_MAX = 10 ** 4  # delta_new sums l <= _L_MAX; the rest is its certified l-tail
 
@@ -74,10 +75,10 @@ def check_petersson_cell(kind: str, k: int, N: int, m: int, n: int) -> None:
 
 def _exp_tail(nu: int, x0: float, C: float, step: int, g0: int) -> float:
     """Bound on 2 pi sum_{c >= C, step | c} |S(m,n;c)/c| |J_nu(x0/c)|,
-    valid when x0/C < nu (series-head envelope for J, sigma_0(c) <= 2 sqrt c)."""
+    valid when x0/C < nu (|J_nu(x)| <= (x/2)^nu/nu!, sigma_0(c) <= 2 sqrt c)."""
     if C <= x0 / nu:
         return math.inf
-    lt = nu * math.log(x0 / (2.0 * C)) - lgamma(nu + 1)
+    lt = _log_series_head(nu, x0 / C)
     if lt > 700.0:
         return math.inf
     return 2.0 * math.pi * 2.0 * math.sqrt(g0) * math.exp(lt) * (
@@ -247,8 +248,6 @@ def _check_window(k: int, N: int, m: int, n: int) -> None:
 
 def maint_main_terms(k: int, N: int, m: int, n: int) -> float:
     """phi(N)/N delta(m,n) + 2 pi (-1)^{k/2} (mu(N)/N) prod(1 - p^-2) J_{k-1}(4 pi sqrt(mn))."""
-    from .special_functions import bessel_j
-
     _check_kn(k, N, m, n)
     _check_window(k, N, m, n)
     sign = -1.0 if (k // 2) % 2 else 1.0
@@ -326,8 +325,6 @@ def orbital_integral_A(t: float, k: int):
     The quadrature's inner integral is exact by residues, so its agreement under
     refinement certifies the outer integral; the comparison with the closed
     form checks the closed form's Bessel and Gamma assembly."""
-    from .special_functions import bessel_j
-
     check_orbital_cell(k, t)
     bess = bessel_j(k - 1, k / t)
     log_pref = -k + math.log(4.0 * math.pi) + (k - 1) * math.log(k) - math.log(2.0 * t) - lgamma(k - 1)

@@ -20,9 +20,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lgamma
 
-import mpmath as mp
 import numpy as np
 
+# mpmath is imported inside the functions that use it: petersson imports this
+# module for bessel_j and _log_series_head only, and starts without mpmath.
 # mp.workdps mutates the shared mpmath context; concurrent entry from a
 # library caller's threads can shift precision mid-computation (observed as a
 # tanh-sinh node collapsing onto an endpoint singularity).  Every workdps
@@ -145,6 +146,8 @@ def bessel_j(order: int, x: float) -> BesselEval:
 
 @lru_cache(maxsize=None)
 def _airy_coeffs(dps: int):
+    import mpmath as mp
+
     with MP_CONTEXT_LOCK, mp.workdps(dps):
         c1 = mp.mpf(3) ** mp.mpf("-2/3") / mp.gamma(mp.mpf(2) / 3)
         c2 = mp.mpf(3) ** mp.mpf("-1/3") / mp.gamma(mp.mpf(1) / 3)
@@ -156,6 +159,8 @@ def airy_ai(x: float) -> float:
     cancellation scale exp((2/3)|x|^{3/2})."""
     if abs(x) > 20.0:
         raise ValueError("airy_ai: |x| <= 20 supported")
+    import mpmath as mp
+
     dps = 30 + int(0.3 * abs(x) ** 1.5)
     c1, c2 = _airy_coeffs(dps)
     with MP_CONTEXT_LOCK, mp.workdps(dps):
@@ -188,6 +193,8 @@ def bessel_transition_approx(alpha: float, a: float) -> float:
 
 @lru_cache(maxsize=1)
 def _psi() -> TestFunctionPsi:
+    import mpmath as mp
+
     with MP_CONTEXT_LOCK, mp.workdps(30):
         integral = mp.quad(lambda t: mp.exp(-1 / (1 - t * t)), [-1, 1])
         return TestFunctionPsi(float(1 / integral))

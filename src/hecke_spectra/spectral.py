@@ -10,7 +10,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import mpmath as mp
 import numpy as np
@@ -21,27 +21,25 @@ from .special_functions import MP_CONTEXT_LOCK
 
 @dataclass(frozen=True)
 class DiscreteMeasure:
+    """The probability measure of mass 1/d at each of its d sorted atoms (an
+    atom repeated j times carries j/d)."""
+
     atoms: Tuple[float, ...]
-    weights: Tuple[float, ...]
-    total: float
 
     def __post_init__(self):
-        if len(self.atoms) != len(self.weights) or not self.atoms:
-            raise ValueError("DiscreteMeasure: atoms/weights mismatch or empty")
+        if not self.atoms:
+            raise ValueError("DiscreteMeasure: no atoms")
         if any(a2 < a1 for a1, a2 in zip(self.atoms, self.atoms[1:])):
             raise ValueError("DiscreteMeasure: atoms must be sorted")
         if any(abs(a) > 2.0 + 1e-6 for a in self.atoms):
             raise ValueError("DiscreteMeasure: atom outside [-2, 2] + 1e-6")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("DiscreteMeasure: weights must be positive")
-        if abs(math.fsum(self.weights) - self.total) > 1e-9:
-            raise ValueError("DiscreteMeasure: weights do not sum to total")
 
 
 @dataclass(frozen=True)
 class ContinuousMeasure:
     kind: str  # "plancherel(p)" or "semicircle"
     cdf: Callable = field(compare=False)  # a float or an ndarray of x in, the same out
+    p: Optional[int] = None  # the prime of a Plancherel measure
 
     def __post_init__(self):
         vals = self.cdf(np.linspace(-2.0, 2.0, 10 ** 4))  # the grid ends are -2.0 and 2.0
@@ -84,7 +82,7 @@ def plancherel_cdf(p: int, x):
 
 @lru_cache(maxsize=32)
 def plancherel_measure(p: int) -> ContinuousMeasure:
-    return ContinuousMeasure(f"plancherel({p})", lambda x: plancherel_cdf(p, x))
+    return ContinuousMeasure(f"plancherel({p})", lambda x: plancherel_cdf(p, x), p)
 
 
 def semicircle_cdf(x):
@@ -99,9 +97,10 @@ def semicircle_measure() -> ContinuousMeasure:
     return ContinuousMeasure("semicircle", semicircle_cdf)
 
 
-def _u_value(m: int, half_x: float) -> float:
-    """Chebyshev U_m evaluated at half_x = x/2, by the three-term recurrence."""
-    u_prev, u = 0.0, 1.0
+def _chebyshev_u(m: int, x: np.ndarray) -> np.ndarray:
+    """Chebyshev U_m(x/2) at every entry of x, by the three-term recurrence."""
+    half_x = x / 2.0
+    u_prev, u = np.zeros_like(half_x), np.ones_like(half_x)
     for _ in range(m):
         u_prev, u = u, 2.0 * half_x * u - u_prev
     return u
@@ -112,35 +111,26 @@ def chebyshev_moment(measure, m: int) -> float:
     if not (0 <= m <= 200):
         raise ValueError("chebyshev_moment: 0 <= m <= 200 required")
     if isinstance(measure, DiscreteMeasure):
-        return math.fsum(w * _u_value(m, a / 2.0) for a, w in zip(measure.atoms, measure.weights))
-    if measure.kind == "semicircle":
+        d = len(measure.atoms)
+        return math.fsum((1.0 / d) * _chebyshev_u(m, np.array(measure.atoms)))
+    if measure.p is None:  # the semicircle
         return 1.0 if m == 0 else 0.0
-    if measure.kind.startswith("plancherel("):
-        p = int(measure.kind[11:-1])
-        return p ** (-m / 2.0) if m % 2 == 0 else 0.0
-    raise ValueError(f"unknown measure kind {measure.kind}")
+    return measure.p ** (-m / 2.0) if m % 2 == 0 else 0.0
 
 
 def _power_sums_from_chebyshev(c: Sequence[float]) -> list:
     """s_j = sum of j-th powers of atoms, from moments c_m = sum U_m(atom/2).
 
-    Uses x U_m(x/2) = U_{m+1}(x/2) + U_{m-1}(x/2) to expand monomials in the
-    U basis with exact integer coefficients."""
-    d = len(c) - 1
-    coeffs = [mp.mpf(1)] + [mp.mpf(0)] * d  # x^0 = U_0
-    sums = [mp.mpf(c[0])]
-    for j in range(1, d + 1):
-        new = [mp.mpf(0)] * (d + 1)
-        for m, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            if m == 0:
-                new[1] += a
-            else:
-                new[m + 1] += a
-                new[m - 1] += a
-        coeffs = new
-        sums.append(mp.fsum(a * c[m] for m, a in enumerate(coeffs) if a != 0))
+    x^j = sum_{i <= j/2} (C(j,i) - C(j,i-1)) U_{j-2i}(x/2): at x = 2 cos t,
+    U_n(x/2) = sum_{r <= n} e^{i(n-2r)t}, so these coefficients add up to the
+    binomial ones of (e^{it} + e^{-it})^j.  The integer coefficients are exact
+    in mpf; terms are summed in increasing m."""
+    sums = []
+    for j in range(len(c)):
+        sums.append(mp.fsum(
+            mp.mpf(math.comb(j, i) - (math.comb(j, i - 1) if i else 0)) * c[j - 2 * i]
+            for i in range(j // 2, -1, -1)
+        ))
     return sums
 
 
@@ -153,6 +143,13 @@ class RecoveryRangeError(ValueError):
     recover from traces."""
 
 
+def _newform_dim(k: int, N: int) -> int:
+    """dim S_k(N)*, the trace of T_1 on it."""
+    from .eichler_selberg import trace_new
+
+    return round(trace_new(1, k, N).total)
+
+
 def check_discrepancy_cell(k: int, N: int, p: int) -> int:
     """dim S_k(N)* if empirical_mu_star(k, N, p) can recover its measure
     (p a prime not dividing N); ValueError otherwise.
@@ -162,12 +159,11 @@ def check_discrepancy_cell(k: int, N: int, p: int) -> int:
     The Hecke-matrix route at N = 1 needs neither limit; it keeps them only so
     that the accepted cells are the same at every level."""
     from .class_numbers import MAX_ABS_DISC
-    from .eichler_selberg import trace_new
 
     p = _require_prime(p, "empirical_mu_star")
     if math.gcd(p, N) != 1:
         raise ValueError("empirical_mu_star: gcd(p, N) = 1 required")
-    d = round(trace_new(1, k, N).total)
+    d = _newform_dim(k, N)
     if d < 1:
         raise RecoveryRangeError(f"empirical_mu_star: S_{k}({N})* is empty")
     if d > 40:
@@ -245,7 +241,7 @@ def empirical_mu_star(k: int, N: int, p: int):
             )
         atoms.append(min(2.0, max(-2.0, r.real)))
     atoms.sort()
-    return DiscreteMeasure(tuple(atoms), tuple([1.0 / d] * d), 1.0)
+    return DiscreteMeasure(tuple(atoms))
 
 
 def nu_moment(k: int, N: int, p: int, m: int) -> float:
@@ -264,27 +260,20 @@ def discrepancy(d: DiscreteMeasure, c: ContinuousMeasure) -> float:
     Candidate cuts are the atoms approached from both sides plus the interval
     ends; over cuts, the interval mass difference telescopes to a difference
     of W - F values, so the sup is max(G) - min(G) with G = W - F."""
-    if abs(d.total - 1.0) > 1e-9:
-        raise ValueError("discrepancy: probability measure required")
-    cum = np.concatenate([[0.0], np.cumsum(d.weights)])
-    g = [0.0, cum[-1] - 1.0]  # cuts at -2 and +2
-    for i, a in enumerate(d.atoms):
-        f = c.cdf(a)
-        g.append(cum[i] - f)      # cut just left of the atom
-        g.append(cum[i + 1] - f)  # cut just right of the atom
-    return max(g) - min(g)
+    n = len(d.atoms)
+    cum = np.concatenate([[0.0], np.cumsum(np.full(n, 1.0 / n))])
+    f = c.cdf(np.array(d.atoms))
+    # cuts at -2 and +2, just left of each atom and just right of it
+    g = np.concatenate([[0.0, cum[-1] - 1.0], cum[:-1] - f, cum[1:] - f])
+    return float(g.max() - g.min())
 
 
 def _u_total_variation(m: int) -> float:
     """sum |U_m(x_{i+1}/2) - U_m(x_i/2)| over 20,001 equispaced x_i in [-2, 2].
 
     A lower estimate of TV(U_m(x/2)): the part of each extremum between two
-    grid points is missed.  The recurrence of _u_value runs on the whole grid
-    at once, with the same operations, so every grid value is bit-identical."""
-    half_x = np.linspace(-2.0, 2.0, 20001) / 2.0
-    u_prev, u = np.zeros_like(half_x), np.ones_like(half_x)
-    for _ in range(m):
-        u_prev, u = u, 2.0 * half_x * u - u_prev
+    grid points is missed."""
+    u = _chebyshev_u(m, np.linspace(-2.0, 2.0, 20001))
     return float(np.sum(np.abs(np.diff(u))))
 
 
@@ -320,7 +309,7 @@ def trace_discrepancy_bound(n: int, k: int, N: int):
     if math.gcd(n, N) != 1:
         raise ValueError("trace_discrepancy_bound: gcd(n, N) = 1 required")
     m = fn.factors[0][1]
-    dim = round(trace_new(1, k, N).total)
+    dim = _newform_dim(k, N)
     if dim == 0:
         return None
     main = dim / math.sqrt(n) if math.isqrt(n) ** 2 == n else 0.0

@@ -98,6 +98,10 @@ def test_array_form_equals_scalar_form_bit_for_bit():
         scalar = np.array([kloosterman_sum_fast(m, n, int(c)) for c in cs])
         assert np.array_equal(kloosterman_sum_fast(m, n, cs), scalar), (m, n)
     assert kloosterman_sum_fast(1, 1, np.array([], dtype=np.int64)).shape == (0,)
+    # no c with a prime power: S(m, n; 1) = 1 for every entry
+    for ones in (np.array([1]), np.ones((2, 3), dtype=np.int64)):
+        assert np.array_equal(kloosterman_sum_fast(3, 5, ones), np.ones(ones.shape))
+    assert kloosterman_sum_fast(3, 5, 1) == 1.0
     with pytest.raises(ValueError):
         kloosterman_sum_fast(1, 1, np.array([3, 0]))
 

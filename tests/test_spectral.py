@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.spectral import (
     DiscreteMeasure,
+    _chebyshev_u,
     _newton_roots,
+    _power_sums_from_chebyshev,
     check_discrepancy_cell,
     chebyshev_moment,
     discrepancy,
@@ -60,6 +62,7 @@ def test_plancherel_clamps_with_warning():
 
 def test_plancherel_chebyshev_moments():
     mu = plancherel_measure(2)
+    assert mu.p == 2 and semicircle_measure().p is None
     for m in range(0, 12):
         want = 2.0 ** (-m / 2.0) if m % 2 == 0 else 0.0
         assert abs(chebyshev_moment(mu, m) - want) < 1e-12
@@ -97,12 +100,12 @@ def test_semicircle_moments():
 
 
 def test_discrete_measure_validation():
-    with pytest.raises(ValueError):
-        DiscreteMeasure((1.0, -1.0), (0.5, 0.5), 1.0)  # unsorted
-    with pytest.raises(ValueError):
-        DiscreteMeasure((0.0,), (0.5,), 1.0)  # total mismatch
-    with pytest.raises(ValueError):
-        DiscreteMeasure((2.5,), (1.0,), 1.0)  # atom out of range
+    with pytest.raises(ValueError, match="sorted"):
+        DiscreteMeasure((1.0, -1.0))
+    with pytest.raises(ValueError, match="outside"):
+        DiscreteMeasure((2.5,))
+    with pytest.raises(ValueError, match="no atoms"):
+        DiscreteMeasure(())
 
 
 def test_empirical_atom_weight_12():
@@ -155,7 +158,7 @@ def test_nu_moment_zeroth():
 
 def test_discrepancy_atom_vs_semicircle():
     # the closed singleton {0} carries full mass against none
-    one = DiscreteMeasure((0.0,), (1.0,), 1.0)
+    one = DiscreteMeasure((0.0,))
     assert abs(discrepancy(one, semicircle_measure()) - 1.0) < 1e-12
 
 
@@ -163,18 +166,17 @@ def test_discrepancy_brute_force_scan():
     # compare against a dense two-endpoint grid scan
     rng = np.random.default_rng(5)
     atoms = np.sort(rng.uniform(-2, 2, 6))
-    mu = DiscreteMeasure(tuple(atoms), tuple([1.0 / 6] * 6), 1.0)
+    mu = DiscreteMeasure(tuple(atoms))
     sc = semicircle_measure()
     got = discrepancy(mu, sc)
 
     eps = 1e-9
     pts = sorted(set([-2.0, 2.0] + [a - eps for a in atoms] + [a + eps for a in atoms]))
-    cum = np.concatenate([[0.0], np.cumsum(mu.weights)])
 
     def mass_d(a, b):
         lo = np.searchsorted(atoms, a, side="left")
         hi = np.searchsorted(atoms, b, side="right")
-        return cum[hi] - cum[lo]
+        return (hi - lo) / len(atoms)
 
     brute = 0.0
     for i, a in enumerate(pts):
@@ -188,20 +190,40 @@ def test_moment_lower_bound_sanity():
     assert abs(discrepancy_lower_bound_moments([0.8], 1) - 0.8 / 8.0) < 1e-12
     lb = discrepancy_lower_bound_moments([0.0, 0.5], 2)
     # atom at 0 vs plancherel(2): the actual discrepancy dominates the bound
-    one = DiscreteMeasure((0.0,), (1.0,), 1.0)
+    one = DiscreteMeasure((0.0,))
     gap = chebyshev_moment(one, 2) - chebyshev_moment(plancherel_measure(2), 2)
     bound = discrepancy_lower_bound_moments([0.0, gap], 2)
     assert bound <= discrepancy(one, plancherel_measure(2)) + 1e-9
 
 
-def test_u_total_variation_matches_per_point_grid():
-    # the vectorized recurrence against one _u_value call per grid point
-    from hecke_spectra.spectral import _u_total_variation, _u_value
+def test_chebyshev_u_matches_sine_ratio():
+    # U_m(cos t) = sin((m+1)t)/sin(t) inside, and U_m(+-1) = (+-1)^m (m+1) exactly
+    theta = np.linspace(0.0, math.pi, 1001)[1:-1]
+    for m in (0, 1, 2, 5, 14, 40, 100, 200):
+        u = _chebyshev_u(m, 2.0 * np.cos(theta))
+        want = np.sin((m + 1) * theta) / np.sin(theta)
+        assert np.max(np.abs(u - want)) < 1e-12 * (m + 1) ** 2, m
+        assert _chebyshev_u(m, np.array([-2.0, 2.0])).tolist() == [(-1) ** m * (m + 1.0), m + 1.0]
 
-    xs = np.linspace(-2.0, 2.0, 20001)
-    for m in (1, 14, 40):
-        vals = np.array([_u_value(m, x / 2.0) for x in xs])
-        assert _u_total_variation(m) == float(np.sum(np.abs(np.diff(vals)))), m
+
+def test_power_sums_match_direct_powers():
+    # the closed-form expansion in the U basis against sum a^j of random atoms,
+    # the moments taken exactly enough that only the expansion is tested
+    import mpmath as mp
+
+    rng = np.random.default_rng(11)
+    with mp.workdps(60):
+        for d in (1, 2, 3, 7, 16, 25, 40):
+            atoms = [mp.mpf(float(a)) for a in rng.uniform(-2.0, 2.0, d)]
+            c = []
+            u_prev, u = [mp.mpf(0)] * d, [mp.mpf(1)] * d
+            for _ in range(d + 1):
+                c.append(mp.fsum(u))
+                u_prev, u = u, [a * v - w for a, v, w in zip(atoms, u, u_prev)]
+            s = _power_sums_from_chebyshev(c)
+            assert len(s) == d + 1
+            for j in range(d + 1):
+                assert abs(s[j] - mp.fsum(a ** j for a in atoms)) < mp.mpf(10) ** -40, (d, j)
 
 
 def test_trace_discrepancy_bound_values():
@@ -216,8 +238,7 @@ def test_trace_discrepancy_bound_values():
 @given(st.lists(st.floats(min_value=-2.0, max_value=2.0), min_size=1, max_size=8))
 def test_discrepancy_bounded_by_one(xs):
     atoms = tuple(sorted(xs))
-    w = 1.0 / len(atoms)
-    mu = DiscreteMeasure(atoms, tuple([w] * len(atoms)), 1.0)
+    mu = DiscreteMeasure(atoms)
     d = discrepancy(mu, semicircle_measure())
     assert 0.0 <= d <= 1.0 + 1e-12
 
