@@ -7,7 +7,7 @@ independent of the trace-formula machinery and serves as its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Tuple
 
 from .arithmetic import _as_factored, divisors, factor, kronecker_chi, nu_index
@@ -93,13 +93,35 @@ def _eta_quotientless(n_max: int):
     return coeffs
 
 
-@lru_cache(maxsize=8)
+def _grown(build):
+    """Keep one expansion build(*key, n_max) per key, to the largest n_max asked
+    for so far, and answer a smaller n_max with its prefix: the coefficients
+    are exact, so a prefix equals a fresh build at the smaller n_max."""
+    longest = {}
+
+    @wraps(build)
+    def cached(*args):
+        *key, n_max = args
+        key = tuple(key)
+        if key not in longest or longest[key][0] < n_max:
+            longest[key] = (n_max, build(*key, n_max))
+        built, coeffs = longest[key]
+        return coeffs[: len(coeffs) - (built - n_max)]
+
+    return cached
+
+
+@_grown
+def _tau(n_max: int) -> Tuple[int, ...]:
+    eta24 = _poly_pow(_eta_quotientless(n_max - 1), 24, n_max - 1)
+    return tuple(eta24[:n_max])
+
+
 def delta_tau(n_max: int) -> QExpansion:
     """tau(1..n_max) from q prod (1-q^m)^24, exact integers."""
     if not (1 <= n_max <= 10 ** 5):
         raise ValueError("delta_tau: 1 <= n_max <= 1e5")
-    eta24 = _poly_pow(_eta_quotientless(n_max - 1), 24, n_max - 1)
-    return QExpansion(12, tuple(eta24[: n_max]), True)
+    return QExpansion(12, _tau(n_max), True)
 
 
 def _sigma_series(t: int, n_max: int):
@@ -111,14 +133,15 @@ def _sigma_series(t: int, n_max: int):
     return out
 
 
-@lru_cache(maxsize=8)
-def _eisenstein(k: int, n_max: int):
+@_grown
+def _eisenstein(k: int, n_max: int) -> Tuple[int, ...]:
+    """E4 or E6 to q^n_max: n_max + 1 coefficients from q^0."""
     if k == 4:
         s = _sigma_series(3, n_max)
-        return [1] + [240 * s[m] for m in range(1, n_max + 1)]
+        return (1, *(240 * s[m] for m in range(1, n_max + 1)))
     if k == 6:
         s = _sigma_series(5, n_max)
-        return [1] + [-504 * s[m] for m in range(1, n_max + 1)]
+        return (1, *(-504 * s[m] for m in range(1, n_max + 1)))
     raise ValueError("only E4 and E6 supported")
 
 

@@ -7,8 +7,9 @@ Each summed task's c-range is certified before any term is summed, so one
 kloosterman_sum_fast call per distinct (m, n) covers every c its tasks need,
 and one jv call per task covers that task's c; each task then adds its terms
 in increasing c.
-Truncations are certified: each c-tail from the exponential regime of J_nu
-past x = 0.8 nu, and delta_new's l-tail past _L_MAX by Deligne's bound
+Truncations are certified: each c-tail where J_nu decays exponentially, below
+the turning point x = nu, by the smaller of the series head and Kapteyn's
+inequality (DLMF 10.14.8), and delta_new's l-tail past _L_MAX by Deligne's bound
 (Deligne, La conjecture de Weil I, 1974; as in Iwaniec-Luo-Sarnak 2000, sec. 2):
 for gcd(a, M) = 1, |Delta_{k,M}(a, n)| <= tau(a) sqrt(Delta_{k,M}(1,1)
 Delta_{k,M}(n,n)), the two diagonals being full-level cells of the same walk.
@@ -73,25 +74,58 @@ def check_petersson_cell(kind: str, k: int, N: int, m: int, n: int) -> None:
             raise ValueError("delta_new: gcd(mn, N) = 1 required")
 
 
+def _kapteyn(nu: int, z: float) -> Tuple[float, float]:
+    """(nu phi(z), nu s) for Kapteyn's inequality (DLMF 10.14.8; Watson, Treatise,
+    sec. 8.7), integer nu and 0 < z <= 1: |J_nu(nu z)| <= exp(nu phi(z)), with
+    phi(z) = log z + s - log(1 + s), s = sqrt(1 - z^2).  As dphi/dlog z = s only
+    grows as z falls, |J_nu(nu z / r)| <= exp(nu phi(z)) r^(-nu s) for r >= 1."""
+    s = math.sqrt(max(1.0 - z * z, 0.0))
+    return nu * (math.log(z) + s - math.log1p(s)), nu * s
+
+
 def _exp_tail(nu: int, x0: float, C: float, step: int, g0: int) -> float:
-    """Bound on 2 pi sum_{c >= C, step | c} |S(m,n;c)/c| |J_nu(x0/c)|,
-    valid when x0/C < nu (|J_nu(x)| <= (x/2)^nu/nu!, sigma_0(c) <= 2 sqrt c)."""
+    """Bound on 2 pi sum_{c >= C, step | c} |S(m,n;c)/c| |J_nu(x0/c)|, valid when
+    x0/C < nu (sigma_0(c) <= 2 sqrt c, so |S(m,n;c)/c| <= 2 sqrt(g0)): the smaller
+    of two bounds on the J-sum.  The series head |J_nu(x)| <= (x/2)^nu/nu! falls
+    like c^-nu.  Kapteyn's inequality (DLMF 10.14.8, integer nu, 0 < z <= 1) at
+    z = x0/(nu C) falls like c^-(nu s), s = sqrt(1 - z^2), since dphi/dlog z = s
+    only grows as z falls (_kapteyn); it is used when nu s > 1, so that its sum
+    over c converges."""
     if C <= x0 / nu:
         return math.inf
     lt = _log_series_head(nu, x0 / C)
-    if lt > 700.0:
-        return math.inf
-    return 2.0 * math.pi * 2.0 * math.sqrt(g0) * math.exp(lt) * (
+    series = math.inf if lt > 700.0 else 2.0 * math.pi * 2.0 * math.sqrt(g0) * math.exp(lt) * (
         1.0 + C / (step * max(nu - 1, 1))
     )
+    log_bound, decay = _kapteyn(nu, x0 / (nu * C))
+    if decay <= 1.0:
+        return series
+    return min(series, 2.0 * math.pi * 2.0 * math.sqrt(g0) * math.exp(log_bound) * (
+        1.0 + C / (step * (decay - 1.0))
+    ))
 
 
 def _c_stop(nu: int, x0: float, step: int, g0: int, target: float):
-    """First multiple of step where the certified exponential tail <= target
-    (or a work cap is hit; the honest tail is returned either way)."""
+    """First multiple of step where the certified tail of _exp_tail <= target
+    (or a work cap is hit; the honest tail is returned either way).  The search
+    starts at x = 0.8 nu.  If that start already meets the target (as Kapteyn's
+    bound, DLMF 10.14.8, does at large nu), bisection over multiples of step
+    between it and the turning point x0/nu, where the tail is infinite, finds
+    the smallest C that meets it (both bounds fall as C grows); otherwise C
+    grows by an eighth at a time."""
     C = step * max(1, math.ceil(x0 / (0.8 * nu) / step) + 1)
     cap = C + 2000 * step
     tail = _exp_tail(nu, x0, C, step, g0)
+    if tail <= target:
+        lo = step * math.floor(x0 / nu / step)
+        while C - lo > step:
+            mid = step * ((lo + C) // (2 * step))
+            mid_tail = _exp_tail(nu, x0, mid, step, g0)
+            if mid_tail <= target:
+                C, tail = mid, mid_tail
+            else:
+                lo = mid
+        return C, tail
     while tail > target and C < cap:
         C += step * max(1, C // (8 * step))
         tail = _exp_tail(nu, x0, C, step, g0)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from hecke_spectra import oracles
 from hecke_spectra.arithmetic import divisors, sigma
 from hecke_spectra.eichler_selberg import trace_new
 from hecke_spectra.oracles import (
@@ -39,6 +40,26 @@ def test_tau_691_congruence():
     tau = delta_tau(200)
     for n in range(1, 201):
         assert (tau.a(n) - sigma(11, n)) % 691 == 0
+
+
+def test_expansions_are_prefixes_of_one_longest_build(monkeypatch):
+    # Delta, E4 and E6 are built once to the largest n_max asked for; a
+    # smaller n_max is a prefix of that build and equals a fresh build
+    builds = []
+    eta, sigma_series = oracles._eta_quotientless, oracles._sigma_series
+    monkeypatch.setattr(oracles, "_eta_quotientless", lambda n: builds.append(n) or eta(n))
+    monkeypatch.setattr(oracles, "_sigma_series", lambda t, n: builds.append(n) or sigma_series(t, n))
+    longest = delta_tau(701).coefficients
+    e4, e6 = oracles._eisenstein(4, 701), oracles._eisenstein(6, 701)
+    built = len(builds)
+    sizes = (700, 37, 1)
+    cached = {n: (delta_tau(n).coefficients, oracles._eisenstein(4, n), oracles._eisenstein(6, n)) for n in sizes}
+    assert len(builds) == built  # prefixes, not new builds
+    for n in sizes:
+        fresh = (oracles._tau.__wrapped__(n), *(oracles._eisenstein.__wrapped__(k, n) for k in (4, 6)))
+        assert cached[n] == (longest[:n], e4[: n + 1], e6[: n + 1]) == fresh
+    with pytest.raises(ValueError):
+        delta_tau(0)
 
 
 def test_eigenform_multiplicativity():

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.special import jv
 
 from hecke_spectra import petersson
 from hecke_spectra.kloosterman import kloosterman_sum_fast
@@ -64,6 +65,33 @@ def test_truncation_consistency():
         for c in range(r.c_max + 1, 2 * r.c_max + 1)
     )
     assert 2.0 * math.pi * abs(extra) <= r.truncation_bound + 1e-12
+
+
+def test_truncation_consistency_at_large_nu():
+    # the l = 2401 task of the window cell (296, 7, 1, 575) as a full-level
+    # cell: Kapteyn's bound stops its walk before c = 3881, where the series
+    # head stopped it, and the terms in between lie within the certified tail
+    k, N, m, n = 296, 1, 7 ** 8, 575
+    r = delta_full(k, N, m, n)
+    assert r.c_max < 3881
+    cs = np.arange(r.c_max + 1, 3882)
+    x0 = 4.0 * math.pi * math.sqrt(m * n)
+    extra = np.sum(kloosterman_sum_fast(m, n, cs) / cs * petersson.jv(k - 1, x0 / cs))
+    assert 2.0 * math.pi * abs(extra) <= r.truncation_bound
+
+
+def test_kapteyn_bound_against_scipy():
+    # |J_nu(nu z / r)| <= exp(nu phi(z)) r^(-nu s) for r >= 1; r = 1 is
+    # Kapteyn's inequality itself, r > 1 the decay that _exp_tail sums over c
+    z = np.concatenate([np.linspace(0.002, 1.0, 500), 1.0 - np.logspace(-12, -1, 45)])
+    excess = []  # log |J| - log bound wherever J does not underflow
+    for nu in (1, 3, 11, 101, 303, 999, 3999):
+        log_bound, decay = np.array([petersson._kapteyn(nu, zi) for zi in z]).T
+        for r in (1.0, 1.001, 1.01, 1.1, 1.5, 3.0):
+            j = np.abs(jv(nu, nu * z / r))
+            seen = j > 0.0
+            excess.append(np.log(j[seen]) - (log_bound - decay * math.log(r))[seen])
+    assert np.max(np.concatenate(excess)) < 0.0
 
 
 def test_shared_walk_matches_one_call_per_cell():
@@ -143,7 +171,7 @@ def test_delta_new_symmetric_in_m_n():
 _PINNED = {
     (12, 5, 2, 3): ("0.1622424170492323", 13835, 3125),
     (12, 7, 1, 2): ("0.19124645042252317", 6905, 2401),
-    (304, 7, 1, 606): ("-0.0876273117297502", 3880, 2401),
+    (304, 7, 1, 606): ("-0.08762731172975025", 2981, 2401),
 }
 
 
