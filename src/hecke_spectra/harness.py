@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
 
 from . import __version__
 
@@ -82,7 +82,10 @@ class CacheEntry:
 
 
 def cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV, Path.home() / ".cache" / "hecke_spectra"))
+    env = os.environ.get(CACHE_ENV)
+    # the home default is built only when needed: Path.home() raises where
+    # there is no HOME and no passwd entry
+    return Path(env) if env is not None else Path.home() / ".cache" / "hecke_spectra"
 
 
 def _cache_file() -> Path:
@@ -113,19 +116,29 @@ def _line_checksum(payload: dict) -> str:
 class _Cache:
     """In-memory map backed by an append-only checksummed log.  A corrupt
     line invalidates the tail: the valid prefix is rewritten and computation
-    repopulates the rest (never silently trusted)."""
+    repopulates the rest (never silently trusted).
+
+    The location is resolved again only when `$HECKE_SPECTRA_CACHE` changes
+    or `_loaded_from` is reset to None.  Puts append through one O_APPEND
+    handle, opened on the first put and flushed after every line, so a crash
+    loses nothing already put and other processes see each line at once."""
 
     def __init__(self):
         self._lock = threading.Lock()
         self._map: Dict[Tuple[str, str], CacheEntry] = {}
         self._loaded_from: Optional[Path] = None
+        self._env: Optional[str] = None
+        self._fh: Optional[TextIO] = None
 
     def _load(self):
-        path = _cache_file()
-        if self._loaded_from == path:
+        env = os.environ.get(CACHE_ENV)
+        if self._loaded_from is not None and env == self._env:
             return
+        self._close()
+        path = _cache_file()
         self._map.clear()
         self._loaded_from = path
+        self._env = env
         if not path.exists():
             return
         good: List[str] = []
@@ -145,6 +158,16 @@ class _Cache:
         if dirty:
             path.write_text("".join(g + "\n" for g in good))
 
+    def _close(self):
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+    def close(self) -> None:
+        """Close the append handle; the next put opens it again."""
+        with self._lock:
+            self._close()
+
     def get(self, key: Tuple[str, str]) -> Optional[CacheEntry]:
         with self._lock:
             self._load()
@@ -156,12 +179,13 @@ class _Cache:
             if entry.key in self._map:
                 return
             self._map[entry.key] = entry
-            path = _cache_file()
-            path.parent.mkdir(parents=True, exist_ok=True)
             payload = _entry_payload(entry)
             payload["sha"] = _line_checksum(payload)
-            with path.open("a") as fh:
-                fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            if self._fh is None:
+                self._loaded_from.parent.mkdir(parents=True, exist_ok=True)
+                self._fh = self._loaded_from.open("a")
+            self._fh.write(json.dumps(payload, sort_keys=True) + "\n")
+            self._fh.flush()
 
 
 _CACHE = _Cache()
@@ -645,7 +669,10 @@ def run_experiment(name: str, config: Dict[str, str], threads: int = 1) -> List[
     unknown = sorted(set(config) - keys - _CLI_KEYS)
     if unknown:
         raise ConfigError(f"{name}: unknown config key(s) {unknown}; it reads {sorted(keys)}")
-    return driver(config)
+    try:
+        return driver(config)
+    finally:
+        _CACHE.close()
 
 
 # ---------------------------------------------------------------------------

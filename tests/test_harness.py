@@ -23,6 +23,7 @@ def isolated_cache(tmp_path, monkeypatch):
     # force a reload from the new location
     harness._CACHE._loaded_from = None
     yield
+    harness._CACHE.close()
     harness._CACHE._loaded_from = None
 
 
@@ -76,6 +77,60 @@ def test_corrupt_cache_detected_and_rebuilt():
     assert cache_get(("f", "1")).value == 1.0  # prefix survives
     assert cache_get(("f", "3")) is None  # tail discarded
     assert len(path.read_text().splitlines()) == 2
+
+
+def test_cache_needs_no_home_when_location_is_set(monkeypatch):
+    def no_home():
+        raise RuntimeError("Could not determine home directory.")
+
+    monkeypatch.setattr(Path, "home", no_home)
+    cache_put(CacheEntry(("f", "1"), 2.5, 0.0))
+    assert cache_get(("f", "1")).value == 2.5
+
+
+def test_cache_follows_a_location_switch(tmp_path, monkeypatch):
+    cache_put(CacheEntry(("f", "a"), 1.0, 0.0))
+    old = harness._cache_file()
+    old_bytes = old.read_bytes()
+    monkeypatch.setenv(harness.CACHE_ENV, str(tmp_path / "other"))
+    assert cache_get(("f", "a")) is None
+    cache_put(CacheEntry(("f", "b"), 2.0, 0.0))
+    assert old.read_bytes() == old_bytes
+    assert '"b"' in (tmp_path / "other" / "memo.jsonl").read_text()
+    monkeypatch.setenv(harness.CACHE_ENV, str(old.parent))
+    assert cache_get(("f", "a")).value == 1.0
+    assert cache_get(("f", "b")) is None
+
+
+def test_cache_line_is_readable_when_put_returns():
+    cache_put(CacheEntry(("f", "1"), 2.5, 0.0))
+    with harness._cache_file().open() as fh:
+        assert '"1"' in fh.read()
+
+
+def test_cache_writers_taking_turns_share_one_file():
+    a, b = harness._Cache(), harness._Cache()
+    try:
+        for i in range(20):
+            (a if i % 2 else b).put(CacheEntry(("f", str(i)), float(i), 0.0))
+    finally:
+        a.close()
+        b.close()
+    lines = harness._cache_file().read_text().splitlines()
+    assert len(lines) == 20
+    for line in lines:
+        d = json.loads(line)
+        assert d.pop("sha") == harness._line_checksum(d)
+    for i in range(20):
+        assert cache_get(("f", str(i))).value == float(i)
+
+
+def test_cache_line_format_is_stable():
+    cache_put(CacheEntry(("d_coefficient", "-7,1001,6"), -0.1234567890123456789, 0.0))
+    assert harness._cache_file().read_text() == (
+        '{"error_bound": 0.0, "float": -0.12345678901234568, '
+        '"key": ["d_coefficient", "-7,1001,6"], "sha": "ec907b7f2e9c82e7"}\n'
+    )
 
 
 def test_run_experiment_trace_oracle():
