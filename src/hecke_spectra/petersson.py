@@ -1,20 +1,21 @@
 """Geometric side of the Petersson formula: full-level and newform averages,
 their transition-window main terms, and the appendix orbital integral.
 
-The c-sum is evaluated with scipy's J-Bessel (cross-checked in tests against
-the certified quadrature evaluator) and the paired Kloosterman fast path.
-Each summed task's c-range is certified before any term is summed, so one
-kloosterman_sum_fast call per distinct (m, n) covers every c its tasks need,
-and one jv call per task covers that task's c; each task then adds its terms
-in increasing c.
+The c-sum is evaluated with special_functions.jv, a numpy J-Bessel for integer
+order (checked in tests against 40-digit mpmath and against scipy), and the
+paired Kloosterman fast path.  Each summed task's c-range is certified before
+any term is summed, so in each block of c one kloosterman_sum_fast call per
+distinct (m, n) covers every c its tasks need, and one jv call per distinct
+order covers every argument of its tasks; each task then adds its terms in
+increasing c.
 Truncations are certified: each c-tail where J_nu decays exponentially, below
 the turning point x = nu, by the smaller of the series head and Kapteyn's
 inequality (DLMF 10.14.8), and delta_new's l-tail past _L_MAX by Deligne's bound
 (Deligne, La conjecture de Weil I, 1974; as in Iwaniec-Luo-Sarnak 2000, sec. 2):
 for gcd(a, M) = 1, |Delta_{k,M}(a, n)| <= tau(a) sqrt(Delta_{k,M}(1,1)
 Delta_{k,M}(n,n)), the two diagonals being full-level cells of the same walk.
-The certificates leave out the rounding of the float accumulation and of
-scipy.special.jv.
+The certificates leave out the rounding of the float accumulation and the
+error of jv, which is measured (below 1e-13 against mpmath) but not bounded.
 """
 
 from __future__ import annotations
@@ -26,11 +27,10 @@ from math import lgamma
 from typing import List, Sequence, Tuple
 
 import numpy as np
-from scipy.special import jv
 
 from .arithmetic import divisors, euler_phi, factor, mobius, sigma
 from .kloosterman import kloosterman_sum_fast
-from .special_functions import _log_series_head, bessel_j
+from .special_functions import _log_series_head, bessel_j, jv
 
 _L_MAX = 10 ** 4  # delta_new sums l <= _L_MAX; the rest is its certified l-tail
 
@@ -40,7 +40,7 @@ class PeterssonResult:
     """value is the truncated sum; truncation_bound bounds |value - exact| by the
     certified c-tails of every summed task plus, for delta_new at N > 1, the
     Deligne bound on the l > _L_MAX tail.  It does not cover the rounding of
-    the float accumulation or of scipy.special.jv."""
+    the float accumulation or the error of special_functions.jv."""
 
     k: int
     N: int
@@ -145,34 +145,63 @@ class _Task:
     acc: float = 0.0
 
 
-_C_BLOCK = 1 << 16  # c per block of the walk, which bounds its arrays whatever c_stop is
+_C_BLOCK = 1 << 16  # c per block of the walk, and J values per jv call, which bound its arrays
+
+
+def _chunks(items):
+    """Consecutive runs of (task, c) pairs holding at most _C_BLOCK values of c each."""
+    chunk, size = [], 0
+    for item in items:
+        if chunk and size + len(item[1]) > _C_BLOCK:
+            yield chunk
+            chunk, size = [], 0
+        chunk.append(item)
+        size += len(item[1])
+    if chunk:
+        yield chunk
 
 
 def _run_c_sums(tasks: List[_Task]) -> None:
     """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
     into each task.  Every task's c_stop is fixed before any sum, so in each
     block of _C_BLOCK values of c, each distinct (m_eff, n) takes one
-    kloosterman_sum_fast call over every c its tasks need, and each task one
-    jv call over its own c.  A task adds its terms in increasing c by
-    sequential float addition (cumsum, never the pairwise np.sum), as a walk
-    over c one at a time would."""
-    pairs = {}
+    kloosterman_sum_fast call over every c its tasks need, and each distinct
+    order nu one jv call over every argument of its tasks (a call per chunk of
+    at most _C_BLOCK values; jv is elementwise, so the batching moves no
+    value).  A task adds its terms in increasing c by sequential float
+    addition (cumsum, never the pairwise np.sum), as a walk over c one at a
+    time would."""
     for t in tasks:
         t.x0 = 4.0 * math.pi * math.sqrt(t.m_eff * t.n)
         g0 = math.gcd(t.m_eff, t.n)
         target = 1e-12 / max(abs(t.weight), 1e-6)
         t.c_stop, t.tail = _c_stop(t.nu, t.x0, t.step, g0, target)
-        pairs.setdefault((t.m_eff, t.n), []).append(t)
-    for (m, n), group in pairs.items():
-        for lo in range(0, max(t.c_stop for t in group), _C_BLOCK):
-            # each task's c in (lo, lo + _C_BLOCK]
-            ranges = [np.arange(t.step * (lo // t.step + 1), min(t.c_stop, lo + _C_BLOCK) + 1, t.step)
-                      for t in group]
-            cs = np.unique(np.concatenate(ranges))
+    for lo in range(0, max(t.c_stop for t in tasks), _C_BLOCK):
+        # each live task's c in (lo, lo + _C_BLOCK]
+        live = [(t, np.arange(t.step * (lo // t.step + 1), min(t.c_stop, lo + _C_BLOCK) + 1, t.step))
+                for t in tasks if t.c_stop > lo]
+        pairs, orders = {}, {}
+        for i, (t, _) in enumerate(live):
+            pairs.setdefault((t.m_eff, t.n), []).append(i)
+            orders.setdefault(t.nu, []).append(i)
+        coef = [None] * len(live)  # S(m_eff, n; c)/c of each live task
+        for (m, n), group in pairs.items():
+            # sorted distinct c (np.unique would import numpy.ma on its first call)
+            cs = np.sort(np.concatenate([live[i][1] for i in group]))
+            cs = cs[np.concatenate(([True], cs[1:] != cs[:-1]))]
             sums = kloosterman_sum_fast(m, n, cs)
-            for t, c in zip(group, ranges):
-                terms = sums[np.searchsorted(cs, c)] / c * jv(t.nu, t.x0 / c)
-                t.acc = float(np.cumsum(np.concatenate(([t.acc], terms)))[-1])
+            for i in group:
+                c = live[i][1]
+                coef[i] = sums[np.searchsorted(cs, c)] / c
+        for nu, group in orders.items():
+            for chunk in _chunks([(i, live[i][1]) for i in group]):
+                j = jv(nu, np.concatenate([live[i][0].x0 / c for i, c in chunk]))
+                at = 0
+                for i, c in chunk:
+                    t = live[i][0]
+                    terms = coef[i] * j[at:at + len(c)]
+                    t.acc = float(np.cumsum(np.concatenate(([t.acc], terms)))[-1])
+                    at += len(c)
 
 
 def _full_cell(k: int, N: int, m: int, n: int):

@@ -159,19 +159,38 @@ def test_r3_refuses_past_its_table_range(monkeypatch):
     assert builds == [] and class_numbers._r3_table is None
 
 
-def test_trace_layer_imports_no_scipy():
+def _modules_after(code, packages=("scipy",)):
+    """The modules of the given packages in sys.modules after running code in
+    a fresh interpreter."""
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    code = (
-        "import sys\n"
+    dotted = tuple(p + "." for p in packages)
+    code += f"print(sorted(m for m in sys.modules if m in {packages!r} or m.startswith({dotted!r})))\n"
+    out = subprocess.run([sys.executable, "-c", "import sys\n" + code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    return out.stdout.strip()
+
+
+def test_trace_layer_imports_no_scipy():
+    assert _modules_after(
         "import hecke_spectra.harness, hecke_spectra.eichler_selberg, hecke_spectra.class_numbers\n"
         "import hecke_spectra.spectral\n"
-        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
-    )
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60)
-    assert out.stdout.strip() == "[]"
+    ) == "[]"
+
+
+def test_package_and_petersson_walk_load_no_scipy():
+    # every module of the package, and a full-level and a newform c-walk; nor
+    # numpy.ma, which np.unique imports on its first call (numpy 2.4)
+    assert _modules_after(
+        "import importlib, pkgutil, hecke_spectra\n"
+        "for mod in pkgutil.iter_modules(hecke_spectra.__path__):\n"
+        "    importlib.import_module('hecke_spectra.' + mod.name)\n"
+        "from hecke_spectra.petersson import delta_full, delta_new\n"
+        "delta_full(12, 1, 1, 2)\n"
+        "delta_new(24, 7, 1, 2)\n",
+        ("scipy", "numpy.ma"),
+    ) == "[]"
 
 
 def brute_count_A(N, n, n0):

@@ -12,6 +12,7 @@ from hecke_spectra.special_functions import (
     airy_ai,
     bessel_j,
     bessel_transition_approx,
+    jv,
     phi_envelope,
     phi_eval,
     phi_hat_eval,
@@ -40,6 +41,58 @@ def test_bessel_recurrence():
         lhs = bessel_j(n - 1, x).value + bessel_j(n + 1, x).value
         rhs = 2.0 * n / x * bessel_j(n, x).value
         assert abs(lhs - rhs) < 1e-11
+
+
+def _jv_grid(nu):
+    """Arguments in every route of jv at order nu, on both sides of each route
+    boundary ((x/2)^2 = nu + 1, x = 25, x = nu), at the turning point
+    nu +- nu^(1/3), where J underflows, and up to x = 2e7."""
+    edge = 2.0 * math.sqrt(nu + 1.0)
+    xs = [0.0, 0.5 * edge, 1.0, 200.0, 25.0, 0.5 * (edge + max(nu, 25.0)),
+          0.5 * nu, 0.8 * nu, nu - nu ** (1.0 / 3.0), nu + nu ** (1.0 / 3.0), 1.2 * nu,
+          2.0 * nu + 3.0, 1e3, 3e5, 1.7e6, 2e7]
+    for b in (edge, 25.0, float(nu)):
+        xs += [b * (1.0 - 1e-9), b, b * (1.0 + 1e-9)]
+    if nu <= 299:
+        xs.append(1e4)  # mpmath's sum takes seconds there at nu >= 1999
+    return np.array(sorted({x for x in xs if x >= 0.0}))
+
+
+def _mpmath_jv(nu, x):
+    import mpmath as mp
+
+    with mp.workdps(40):
+        # the default precision cap stops mpmath's hypergeometric sum short at
+        # large nu and x < 0.8 nu
+        return float(mp.besselj(nu, mp.mpf(float(x)), maxprec=50000, maxterms=10 ** 6))
+
+
+_JV_ORDERS = (0, 1, 3, 11, 63, 299, 1999, 3999)
+
+
+def test_jv_against_mpmath():
+    for nu in _JV_ORDERS:
+        xs = _jv_grid(nu)
+        got = jv(nu, xs)
+        assert np.all(np.isfinite(got)), nu
+        want = np.array([_mpmath_jv(nu, x) for x in xs])
+        err = np.abs(got - want)
+        assert np.max(err) <= 1e-13, (nu, xs[np.argmax(err)], np.max(err))
+
+
+def test_jv_is_elementwise():
+    # each value depends on its own (nu, x) alone: a scalar call, or the same
+    # x inside any other array, gives the same float
+    rng = np.random.default_rng(5)
+    for nu in _JV_ORDERS:
+        xs = np.concatenate([_jv_grid(nu), rng.uniform(0.0, 2.5 * nu + 40.0, 400)])
+        got = jv(nu, xs)
+        assert isinstance(jv(nu, 1.5), float)
+        for x, want in zip(xs[:60], got[:60]):
+            assert jv(nu, float(x)) == want, (nu, x)
+        perm = rng.permutation(len(xs))
+        assert np.array_equal(jv(nu, xs[perm]), got[perm])
+        assert np.array_equal(jv(nu, xs[::3].reshape(-1, 1))[:, 0], got[::3])
 
 
 def test_airy_against_scipy():
@@ -110,6 +163,9 @@ def test_weighted_order_sum_against_direct():
 
 
 def test_domain_checks():
+    for nu, x in [(-1, 1.0), (3, -1.0), (3, [1.0, math.nan]), (3, math.inf)]:
+        with pytest.raises(ValueError):
+            jv(nu, x)
     with pytest.raises(ValueError):
         weighted_bessel_order_sum(50.0, 0.3, 40.0)
     with pytest.raises(ValueError):
