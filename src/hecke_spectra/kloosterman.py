@@ -16,26 +16,33 @@ so S(m, n; c) is the product over the prime powers q || c of
 S(m r*, n r*; q), r = c/q.  Sign and inverse conventions here are a classic
 source of silent errors, hence the direct-sum oracle.  Unit tables are
 needed only for prime powers; the units are sieved out of range(q) and
-their inverses come from one routine, `_unit_inverses` (blocked batch
-inversion).  The inverses are exact integers, so the route to them never
-moves a sum.
+their inverses come from one routine, `_unit_inverses`: Montgomery's
+simultaneous inversion (Math. Comp. 48, 1987), blocked and run over many
+moduli at once.  The inverses are exact integers, so the route to them
+never moves a sum.
 
-`kloosterman_sum_fast` also takes an int array of c, which is how the walk
-calls it: once per distinct (m, n) over every c its tasks need.  The prime
-powers of all those c and the r* come from one cached table, each distinct
-(m r*, n r*, q) is summed once, a batch per q, and the product over q is
-taken in increasing p, so each entry equals the scalar form bit for bit.
+`kloosterman_sum_fast` also takes an int array of c, or a list of them with
+one (m, n) pair each, which is how the walk calls it: once per block of c,
+with every pair of the block over every c its tasks need.  The prime
+powers of all those c and the r* come from one cached table; across all the
+pairs, each distinct (q, m r*, n r*) is summed once, a batch per q, with
+every missing unit table of q <= 2^14 built in one batch; and the product
+over q is taken in increasing p, so each entry equals the scalar form bit
+for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict, namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 import numpy as np
 
-from .arithmetic import carmichael_lambda, divisors, factor, mobius, sigma
+from .arithmetic import carmichael_lambda, divisors, euler_phi, factor, mobius, sigma
 
 
 @dataclass(frozen=True)
@@ -67,9 +74,7 @@ def _unit_table(c: int):
     breaks the x <-> -x cancellation of the imaginary part."""
     if c == 1:
         return np.array([0], dtype=np.int16), np.array([0], dtype=np.int16)
-    x = _units_below(c, c)
-    dtype = np.int16 if c <= 2 ** 15 else np.int32
-    return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
+    return _unit_inverses([c], half=False)[0]
 
 
 def _units_and_inverses(c: int):
@@ -93,75 +98,153 @@ def kloosterman_sum(m: int, n: int, c: int) -> KloostermanValue:
     return KloostermanValue(m, n, c, re, abs(im))
 
 
-def _units_below(c: int, stop: int) -> np.ndarray:
-    """The units mod c in [1, stop), ascending, as int64: every multiple of a
-    prime factor of c struck from range(stop)."""
-    keep = np.ones(stop, dtype=bool)
-    keep[:1] = False
-    for p in factor(c).primes:
-        keep[p::p] = False
-    return np.flatnonzero(keep).astype(np.int64)
+# candidate units per chunk of _unit_inverses, which bounds its temporaries; a
+# modulus past 2^15 has more, so it takes a chunk alone and every chunk has
+# one storage width
+_TABLE_BLOCK = 1 << 14
 
 
-def _unit_inverses(x: np.ndarray, c: int) -> np.ndarray:
-    """Inverses mod c of an array of units, by blocked batch inversion.
+def _unit_inverses(moduli, half: bool = True) -> list:
+    """(x, inv) for each modulus c: the units x mod c in (0, c/2) if half, else
+    in (0, c), ascending, and their inverses in [1, c), stored as int16 for
+    c <= 2^15 and int32 above.
 
-    The units go into B rows; running products down the rows leave K = len/B
-    column products, which one vectorized square-and-multiply ladder inverts
-    (to the power lambda(c) - 1, lambda the exponent of the unit group), and
-    a pass back up the rows peels off each inverse.  Each pass is B numpy
-    calls on arrays of length K, so B grows with the table: measured over
-    c < 40000, B ~ sqrt(len)/8 in [2, 16] is within noise of the best block
-    at every length.  c <= ~3e9 keeps products in int64."""
-    nx = len(x)
-    B = min(16, max(2, round(math.sqrt(nx) / 8)))
-    K = -(-nx // B)
-    u = np.ones(B * K, dtype=np.int64)
-    u[:nx] = x
-    u = u.reshape(B, K)
-    pref = np.empty_like(u)
-    pref[0] = u[0]
+    Montgomery's simultaneous inversion (Math. Comp. 48, 1987), blocked and
+    run over many moduli at once.  The moduli go in chunks of at most
+    _TABLE_BLOCK candidates (a larger modulus alone).  In a chunk, the candidates of each modulus fill K columns of B
+    (non-units and padding set to 1); running products down the columns
+    leave one product per column, one square-and-multiply ladder raises each
+    to lambda(c) - 1 modulo its column's c (lambda the exponent of the unit
+    group), and a pass back up the columns peels off each inverse.  So a
+    chunk costs a fixed run of numpy calls over all its columns, not a run
+    per modulus; B ~ sqrt(chunk size)/8 in [2, 16] balances the B calls of
+    each pass against the ladder's work per column.  The arithmetic is int32
+    when every modulus is <= 2^15 (products < 2^30), else int64 (c <= ~3e9);
+    the inverses are exact integers either way."""
+    out, chunk, size = [], [], 0
+    for c in moduli:
+        span = (c - 1) // 2 if half else c - 1  # candidates 1..span
+        if chunk and size + span > _TABLE_BLOCK:
+            out += _invert_chunk(chunk, half)
+            chunk, size = [], 0
+        chunk.append(c)
+        size += span
+    if chunk:
+        out += _invert_chunk(chunk, half)
+    return out
+
+
+def _invert_chunk(moduli: list, half: bool) -> list:
+    """_unit_inverses of one chunk of moduli, all <= 2^15 or one past it."""
+    wide = moduli[0] > 2 ** 15
+    dt = np.int64 if wide else np.int32
+    facs = [factor(q) for q in moduli]
+    c = np.array(moduli, dtype=dt)
+    span = (c - 1) // 2 if half else c - 1  # candidates 1..span
+    B = min(16, max(2, round(math.sqrt(span.sum()) / 8)))
+    K = -(-span // B)  # columns of B candidates per modulus
+    mod = np.repeat(c, K)  # the modulus of each column
+    # row k of x holds the candidates of column k
+    x = (np.arange(K.sum(), dtype=dt) - np.repeat(np.cumsum(K, dtype=dt) - K, K))[:, None] * B
+    x = x + np.arange(1, B + 1, dtype=dt)
+    keep = x <= np.repeat(span, K)[:, None]  # past span: padding
+    for i in range(max(len(f.factors) for f in facs)):
+        p = [f.primes[i] if i < len(f.factors) else q + 1 for f, q in zip(facs, moduli)]
+        keep &= x % np.repeat(np.array(p, dtype=dt), K)[:, None] != 0
+    u = np.ascontiguousarray(np.where(keep, x, 1).T)
+    # running products down each column; the pass back up overwrites them
+    # with the inverses
+    run = np.empty_like(u)
+    run[0] = u[0]
     for i in range(1, B):
-        pref[i] = pref[i - 1] * u[i] % c
-    e = carmichael_lambda(c) - 1
-    w = np.ones(K, dtype=np.int64)
-    base = pref[B - 1].copy()
-    while e:
-        if e & 1:
-            w = w * base % c
-        base = base * base % c
-        e >>= 1
-    inv = np.empty_like(u)
+        run[i] = run[i - 1] * u[i] % mod
+    lams = [carmichael_lambda(f) - 1 for f in facs]
+    w = np.ones_like(mod)
+    base = run[B - 1].copy()
+    if min(lams) == max(lams):  # one exponent (one modulus, say): a scalar ladder
+        e = lams[0]
+        while e:
+            if e & 1:
+                w = w * base % mod
+            base = base * base % mod
+            e >>= 1
+    else:
+        e = np.repeat(lams, K)
+        while e.any():
+            w = np.where(e & 1, w * base % mod, w)
+            base = base * base % mod
+            e >>= 1
     for i in range(B - 1, 0, -1):
-        inv[i] = w * pref[i - 1] % c
-        w = w * u[i] % c
-    inv[0] = w
-    return inv.reshape(-1)[:nx]
+        run[i] = w * run[i - 1] % mod
+        w = w * u[i] % mod
+    run[0] = w
+    store = np.int32 if wide else np.int16
+    x, inv = x[keep].astype(store), run.T[keep].astype(store)
+    # phi(c) units mod c (none for c = 1), half of them below c/2 (x <-> c - x)
+    ends = list(accumulate(0 if q == 1 else euler_phi(f) // (2 if half else 1)
+                           for q, f in zip(moduli, facs)))
+    return [(x[a:b], inv[a:b]) for a, b in zip([0, *ends], ends)]
 
 
-@lru_cache(maxsize=2048)
-def _half_units(c: int):
-    """Units x in (0, c/2) mod c, ascending, with their inverses in [1, c);
-    used with the x <-> c-x pairing, which makes the sum 2*sum(cos) and
-    exactly real.  Built by `_units_below` and `_unit_inverses` and stored
-    as int16 for c <= 2^15 and int32 above (c <= 2^31), which keeps a long
-    walk's tables small; callers widen them before any product.
+_CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
+
+
+class _HalfUnits:
+    """The half tables, kept in least-recently-used order: units x in
+    (0, c/2) mod c, ascending, with their inverses in [1, c), used with the
+    x <-> c-x pairing, which makes the sum 2*sum(cos) and exactly real.
+    Stored as int16 for c <= 2^15 and int32 above (c <= 2^31), which keeps a
+    long walk's tables small; callers widen them before any product.
+    `tables` builds every table it lacks in one `_unit_inverses` call.
     `kloosterman_sum_fast` caches only the prime powers q <= 2^14, all 1,961
     of which the cache holds at once, and builds larger ones afresh: a walk
-    to c = 50803 otherwise kept 291 MB of them, each used about once."""
-    x = _units_below(c, (c + 1) // 2)
-    dtype = np.int16 if c <= 2 ** 15 else np.int32
-    return x.astype(dtype), _unit_inverses(x, c).astype(dtype)
+    to c = 50803 otherwise kept 291 MB of them, each used about once.
+    cache_info() counts as functools.lru_cache does, a hit or miss per c."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self.hits = self.misses = 0
+        self._tables = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __call__(self, c: int):
+        return self.tables([c])[0]
+
+    def tables(self, moduli) -> list:
+        with self._lock:
+            got = {c: self._tables[c] for c in moduli if c in self._tables}
+            for c in got:
+                self._tables.move_to_end(c)
+        new = [c for c in dict.fromkeys(moduli) if c not in got]
+        got.update(zip(new, _unit_inverses(new)))
+        with self._lock:
+            self.hits += len(moduli) - len(new)
+            self.misses += len(new)
+            for c in new:
+                self._tables[c] = got[c]
+            while len(self._tables) > self.maxsize:
+                self._tables.popitem(last=False)
+        return [got[c] for c in moduli]
+
+    def cache_info(self):
+        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._tables))
 
 
-def _prime_power_sums(a, b, q: int):
-    """S(a,b;q) for a prime power q and 0 <= a, b < q, by paired summation.
+_half_units = _HalfUnits(maxsize=2048)
+_CACHED_Q = 1 << 14  # the prime powers whose half tables _half_units keeps
+
+
+def _prime_power_sums(a, b, q: int, table=None):
+    """S(a,b;q) for a prime power q and 0 <= a, b < q, by paired summation
+    over q's half table (read from the cache, or built, when not given).
     a and b are ints (a float64 scalar is returned) or equal-length int
     arrays (one sum per entry, each a row sum along the last axis, which
     equals the 1-D np.sum of that row bit for bit)."""
     if q == 2:
         return np.where((a + b) % 2 == 0, 1.0, -1.0)
-    x, inv = _half_units(q) if q <= 2 ** 14 else _half_units.__wrapped__(q)
+    if table is None:
+        table = _half_units(q) if q <= _CACHED_Q else _unit_inverses([q])[0]
+    x, inv = table
     # a x + b x* < 2 q^2 fits int32 for q <= 2^15; the integers are exact either way
     dtype = np.int32 if q <= 2 ** 15 else np.int64
     a = np.asarray(a, dtype=dtype)[..., None]
@@ -227,68 +310,106 @@ def _twists(bits: int):
 
 
 _TWIST_MAX = 1 << 16  # c past this take the scalar route, so no table tops ~6 MB
+_PASS_C = 1 << 16  # values of c per pass of _kloosterman_sums, which bounds its arrays
 
 
-def _kloosterman_sums(m: int, n: int, c: np.ndarray) -> np.ndarray:
-    """kloosterman_sum_fast at every entry of the int array c (m and n within
-    int64).  Below _TWIST_MAX each distinct (a, b, q) over all of c is
-    evaluated once, a batch per q, and each c's prime-power values are
-    multiplied in increasing p, as the scalar form does (the 1.0 past a c's
-    last prime power is an exact factor).  Larger c take one scalar call
-    each, which needs no table."""
-    c = np.asarray(c, dtype=np.int64)
-    if c.size and c.min() < 1:
+def _kloosterman_sums(ms, ns, cs) -> list:
+    """kloosterman_sum_fast of each pair (ms[i], ns[i]) (within int64) at
+    every entry of the int array cs[i].  c below _TWIST_MAX go in passes over
+    consecutive pairs holding at most _PASS_C of them (a larger array alone);
+    larger c take one scalar call each, which needs no table."""
+    cs = [np.asarray(c, dtype=np.int64) for c in cs]
+    if any(c.size and c.min() < 1 for c in cs):
         raise ValueError("kloosterman_sum_fast: c must be positive")
-    s = np.ones(c.shape)
-    big = c >= _TWIST_MAX
-    s[big] = [kloosterman_sum_fast(m, n, int(x)) for x in c[big]]
-    c = c[~big]
-    if not c.size:
-        return s
+    out = [np.ones(c.shape) for c in cs]
+    small = []
+    for m, n, c, s in zip(ms, ns, cs, out):
+        big = c >= _TWIST_MAX
+        s[big] = [kloosterman_sum_fast(m, n, int(x)) for x in c[big]]
+        small.append(~big)
+    groups, size = [[]], 0
+    for i, c in enumerate(cs):
+        if groups[-1] and size + c.size > _PASS_C:
+            groups.append([])
+            size = 0
+        groups[-1].append(i)
+        size += c.size
+    for group in groups:
+        parts = [cs[i][small[i]] for i in group]
+        sizes = [part.size for part in parts]
+        c = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
+        m = np.repeat(np.array([ms[i] for i in group], dtype=np.int64), sizes)
+        n = np.repeat(np.array([ns[i] for i in group], dtype=np.int64), sizes)
+        for i, s in zip(group, np.split(_twisted_products(c, m, n), np.cumsum(sizes)[:-1])):
+            out[i][small[i]] = s
+    return out
+
+
+def _prime_power_values(c, m, n):
+    """(live, values) for int64 arrays c, m, n, 1 <= c < _TWIST_MAX: live
+    marks the rows of the twist table over c that hold a prime power q || c,
+    and values holds S(m r*, n r*; q) at each live entry, in that layout.
+    Each distinct (q, a, b) is summed once, one batch per q, with the half
+    tables of every q <= _CACHED_Q read from `_half_units` in one call."""
     q_tab, rbar_tab = _twists(int(c.max()).bit_length())
     q, rbar = q_tab[:, c], rbar_tab[:, c]
     live = q > 1
-    if not live.any():  # every c is 1: no prime power, so S = 1
-        return s
     q, rbar = q[live], rbar[live]
-    a = m % q * rbar % q
-    b = n % q * rbar % q
-    # each distinct (q, a, b) once: sorted, so each q's rows are one batch
-    # (np.unique(axis=0) does the same but sorts much slower)
-    order = np.lexsort((b, a, q))
-    q, a, b = q[order], a[order], b[order]
-    new = np.ones(q.size, dtype=bool)
-    new[1:] = (q[1:] != q[:-1]) | (a[1:] != a[:-1]) | (b[1:] != b[:-1])
-    first = np.flatnonzero(new)
-    q, a, b = q[first], a[first], b[first]
-    sums = np.empty(first.size)
-    cuts = [0, *(np.flatnonzero(q[1:] != q[:-1]) + 1).tolist(), q.size]
-    for lo, hi in zip(cuts, cuts[1:]):
-        sums[lo:hi] = _prime_power_sums(a[lo:hi], b[lo:hi], int(q[lo]))
+    a = np.broadcast_to(m, live.shape)[live] % q * rbar % q
+    b = np.broadcast_to(n, live.shape)[live] % q * rbar % q
+    # each distinct (q, a, b) once: all are below 2^16, so sorting one key
+    # sorts by (q, a, b), and each q's rows form one batch
+    key = q << 32 | a << 16 | b
+    order = np.argsort(key)
+    key = key[order]
+    new = np.ones(key.size, dtype=bool)
+    new[1:] = key[1:] != key[:-1]
+    key = key[new]
+    q, a, b = key >> 32, key >> 16 & 0xFFFF, key & 0xFFFF
+    starts = np.flatnonzero(np.diff(q, prepend=0)).tolist()
+    heads = q[starts].tolist()
+    cached = [x for x in heads if 2 < x <= _CACHED_Q]
+    tables = dict(zip(cached, _half_units.tables(cached)))
+    sums = np.empty(key.size)
+    for lo, hi, x in zip(starts, [*starts[1:], key.size], heads):
+        sums[lo:hi] = _prime_power_sums(a[lo:hi], b[lo:hi], x, tables.get(x))
     values = np.empty(order.size)
     values[order] = sums[np.cumsum(new) - 1]
+    return live, values
+
+
+def _twisted_products(c, m, n) -> np.ndarray:
+    """S(m[j], n[j]; c[j]) for int64 arrays c, m, n, 1 <= c < _TWIST_MAX:
+    each c's prime-power values multiplied in increasing p, as the scalar
+    form does (the 1.0 past a c's last prime power is an exact factor)."""
+    if not c.size:
+        return np.ones(0)
+    live, values = _prime_power_values(c, m, n)
     factors = np.ones(live.shape)
     factors[live] = values
     product = np.ones(c.shape)
     for row in factors:
         product *= row
-    s[~big] = product
-    return s
+    return product
 
 
-def kloosterman_sum_fast(m: int, n: int, c):
+def kloosterman_sum_fast(m, n, c):
     """S(m,n;c) by twisted multiplicativity: the product over q || c of
     S(m r*, n r*; q), r = c/q and r* its inverse mod q, in increasing p; no
     per-value certification (the harness-facing kloosterman_sum is the
     certified evaluator).
 
-    c is an int (a float is returned) or an int ndarray (an ndarray of its
-    shape is, each entry equal bit for bit to the float at that c).  A scalar
-    c reads its prime powers from `factor` and memoizes each prime-power sum;
-    an array shares each distinct prime-power sum across all its c below
-    _TWIST_MAX."""
-    if isinstance(c, np.ndarray):
+    c is an int (a float is returned), an int ndarray (an ndarray of its
+    shape is, each entry equal bit for bit to the float at that c), or a list
+    of int ndarrays, one per pair, with m and n equal-length sequences of
+    ints (a list of ndarrays is returned, each equal bit for bit to the call
+    on its pair alone).  A scalar c reads its prime powers from `factor` and
+    memoizes each prime-power sum; the array forms share each distinct
+    prime-power sum across all their c below _TWIST_MAX and all their pairs."""
+    if isinstance(c, list):
         return _kloosterman_sums(m, n, c)
+    if isinstance(c, np.ndarray):
+        return _kloosterman_sums([m], [n], [c])[0]
     s = 1.0
     for p, e in factor(c).factors:
         q = p ** e

@@ -4,10 +4,10 @@ their transition-window main terms, and the appendix orbital integral.
 The c-sum is evaluated with special_functions.jv, a numpy J-Bessel for integer
 order (checked in tests against 40-digit mpmath and against scipy), and the
 paired Kloosterman fast path.  Each summed task's c-range is certified before
-any term is summed, so in each block of c one kloosterman_sum_fast call per
-distinct (m, n) covers every c its tasks need, and one jv call per distinct
-order covers every argument of its tasks; each task then adds its terms in
-increasing c.
+any term is summed, so in each block of c one kloosterman_sum_fast call takes
+every distinct (m, n), each over every c its tasks need, and one jv call per
+distinct order covers every argument of its tasks; each task then adds its
+terms in increasing c.
 Truncations are certified: each c-tail where J_nu decays exponentially, below
 the turning point x = nu, by the smaller of the series head and Kapteyn's
 inequality (DLMF 10.14.8), and delta_new's l-tail past _L_MAX by Deligne's bound
@@ -164,8 +164,8 @@ def _chunks(items):
 def _run_c_sums(tasks: List[_Task]) -> None:
     """Accumulate sum_{c = 0 mod step, c <= c_stop} S(m_eff,n;c)/c J_nu(x0/c)
     into each task.  Every task's c_stop is fixed before any sum, so in each
-    block of _C_BLOCK values of c, each distinct (m_eff, n) takes one
-    kloosterman_sum_fast call over every c its tasks need, and each distinct
+    block of _C_BLOCK values of c, one kloosterman_sum_fast call takes every
+    distinct (m_eff, n), each over every c its tasks need, and each distinct
     order nu one jv call over every argument of its tasks (a call per chunk of
     at most _C_BLOCK values; jv is elementwise, so the batching moves no
     value).  A task adds its terms in increasing c by sequential float
@@ -185,14 +185,15 @@ def _run_c_sums(tasks: List[_Task]) -> None:
             pairs.setdefault((t.m_eff, t.n), []).append(i)
             orders.setdefault(t.nu, []).append(i)
         coef = [None] * len(live)  # S(m_eff, n; c)/c of each live task
-        for (m, n), group in pairs.items():
-            # sorted distinct c (np.unique would import numpy.ma on its first call)
-            cs = np.sort(np.concatenate([live[i][1] for i in group]))
-            cs = cs[np.concatenate(([True], cs[1:] != cs[:-1]))]
-            sums = kloosterman_sum_fast(m, n, cs)
+        # the sorted distinct c of each pair (np.unique would import numpy.ma
+        # on its first call), all pairs in one Kloosterman call
+        cs = [np.sort(np.concatenate([live[i][1] for i in group])) for group in pairs.values()]
+        cs = [c[np.concatenate(([True], c[1:] != c[:-1]))] for c in cs]
+        sums = kloosterman_sum_fast([m for m, _ in pairs], [n for _, n in pairs], cs)
+        for group, c_pair, s in zip(pairs.values(), cs, sums):
             for i in group:
                 c = live[i][1]
-                coef[i] = sums[np.searchsorted(cs, c)] / c
+                coef[i] = s[np.searchsorted(c_pair, c)] / c
         for nu, group in orders.items():
             for chunk in _chunks([(i, live[i][1]) for i in group]):
                 j = jv(nu, np.concatenate([live[i][0].x0 / c for i, c in chunk]))
@@ -369,15 +370,24 @@ def _inner_integral(t: float, k: int, x: np.ndarray) -> np.ndarray:
     return 1j ** k * np.exp(log_r - k * np.log(a) + 0.5j * k * y0)
 
 
+# the 8-point Gauss-Legendre rule on [-1, 1], as numpy.polynomial.legendre.leggauss(8)
+# gives it (a test holds the two equal); written out, so no quadrature imports numpy.polynomial
+_GL8_NODES = np.array([-0.9602898564975362, -0.7966664774136267, -0.525532409916329,
+                       -0.18343464249564978, 0.18343464249564978, 0.525532409916329,
+                       0.7966664774136267, 0.9602898564975362])
+_GL8_WEIGHTS = np.array([0.10122853629037706, 0.22238103445337443, 0.3137066458778869,
+                         0.36268378337836166, 0.36268378337836166, 0.3137066458778869,
+                         0.22238103445337443, 0.10122853629037706])
+
+
 def _orbital_quadrature(t: float, k: int, half_width: float, per_wave: int) -> complex:
     """The matrix-coefficient double integral over [-X, X] x R, phase e^{ik(y-x)/2}:
     the y-integral exact by residues, the x-integral by a composite 8-point
     Gauss-Legendre rule, per_wave panels per wavelength 4 pi/k of e^{-ikx/2}."""
     panels = max(8, math.ceil(2.0 * half_width / (4.0 * math.pi / k) * per_wave))
-    nodes, wts = np.polynomial.legendre.leggauss(8)
     h = 2.0 * half_width / panels
-    x = (-half_width + h * (np.arange(panels)[:, None] + 0.5 + 0.5 * nodes[None, :])).ravel()
-    w = np.tile(h / 2.0 * wts, panels) * np.exp(-0.5j * k * x)
+    x = (-half_width + h * (np.arange(panels)[:, None] + 0.5 + 0.5 * _GL8_NODES[None, :])).ravel()
+    w = np.tile(h / 2.0 * _GL8_WEIGHTS, panels) * np.exp(-0.5j * k * x)
     return (k - 1) / (4.0 * math.pi) * (2.0j) ** k * complex(np.sum(w * _inner_integral(t, k, x)))
 
 

@@ -180,16 +180,18 @@ def test_trace_layer_imports_no_scipy():
 
 
 def test_package_and_petersson_walk_load_no_scipy():
-    # every module of the package, and a full-level and a newform c-walk; nor
-    # numpy.ma, which np.unique imports on its first call (numpy 2.4)
+    # every module of the package, a full-level and a newform c-walk, and
+    # the orbital quadrature; nor numpy.ma, which np.unique imports on its
+    # first call (numpy 2.4), nor numpy.polynomial, which leggauss needs
     assert _modules_after(
         "import importlib, pkgutil, hecke_spectra\n"
         "for mod in pkgutil.iter_modules(hecke_spectra.__path__):\n"
         "    importlib.import_module('hecke_spectra.' + mod.name)\n"
-        "from hecke_spectra.petersson import delta_full, delta_new\n"
+        "from hecke_spectra.petersson import delta_full, delta_new, orbital_integral_A\n"
         "delta_full(12, 1, 1, 2)\n"
-        "delta_new(24, 7, 1, 2)\n",
-        ("scipy", "numpy.ma"),
+        "delta_new(24, 7, 1, 2)\n"
+        "orbital_integral_A(1.0, 12)\n",
+        ("scipy", "numpy.ma", "numpy.polynomial"),
     ) == "[]"
 
 

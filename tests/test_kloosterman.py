@@ -1,15 +1,20 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hecke_spectra import kloosterman
 from hecke_spectra.arithmetic import factor
 from hecke_spectra.kloosterman import (
+    _TWIST_MAX,
     _half_units,
+    _HalfUnits,
+    _unit_inverses,
     _units_and_inverses,
     kloosterman_sum,
     kloosterman_sum_fast,
@@ -61,6 +66,82 @@ def test_unit_tables():
             x, inv = _units_and_inverses(c)
             assert x.tolist() == [a for a in range(1, c) if math.gcd(a, c) == 1], c
             assert ((x * inv) % c == 1).all() and ((inv >= 1) & (inv < c)).all(), c
+
+
+def _sieved_units(c, stop):
+    """The units mod c in [1, stop), by striking the multiples of each prime of c."""
+    keep = np.ones(stop, dtype=bool)
+    keep[:1] = False
+    for p in factor(c).primes:
+        keep[p::p] = False
+    return np.flatnonzero(keep)
+
+
+def _assert_tables(moduli, tables, half):
+    assert len(tables) == len(moduli)
+    for c, (x, inv) in zip(moduli, tables):
+        dtype = np.int16 if c <= 2 ** 15 else np.int32
+        assert x.dtype == inv.dtype == dtype, c
+        assert np.array_equal(x, _sieved_units(c, (c + 1) // 2 if half else c)), c
+        assert ((x.astype(np.int64) * inv) % c == 1).all(), c
+        assert ((inv >= 1) & (inv < c)).all(), c
+
+
+_PRIME_POWERS = [q for q in range(3, 2 ** 14 + 1) if len(factor(q).factors) == 1]
+
+
+def test_batched_tables_equal_the_per_q_sieve():
+    # every prime power q <= 2^14 (the tables the walk caches) in one batch,
+    # and every c of test_unit_tables in another
+    assert len(_PRIME_POWERS) == 1960  # with q = 2, the 1,961 cached tables
+    _assert_tables(_PRIME_POWERS, _unit_inverses(_PRIME_POWERS), half=True)
+    cs = list(range(3, 3001)) + list(range(13000, 13101))
+    _assert_tables(cs, _unit_inverses(cs), half=True)
+    _assert_tables(cs[:600], _unit_inverses(cs[:600], half=False), half=False)
+
+
+def test_batched_tables_across_chunk_limits(monkeypatch):
+    # spans (c - 1)/2 of 8192 + 8191 fill one chunk of 2^14 exactly; one more
+    # candidate spills the second modulus into the next chunk; a modulus
+    # past 2^15 (stored wide) has more candidates than a chunk, so it goes
+    # alone, as does 40009, and no chunk mixes storage widths
+    assert kloosterman._TABLE_BLOCK == 2 ** 14
+    for moduli in ([16385, 16383, 3, 5], [16385, 16385, 7], [1, 2, 3, 2 ** 15, 2 ** 15 + 3, 3],
+                   [40009, 25, 65521, 2 ** 16 + 1]):
+        for half in (True, False):
+            tables = _unit_inverses(moduli, half)
+            _assert_tables(moduli, tables, half)
+            for c, (x, inv) in zip(moduli, tables):
+                alone = _unit_inverses([c], half)[0]
+                assert np.array_equal(x, alone[0]) and np.array_equal(inv, alone[1]), c
+    # tiny chunks: every table of c < 600 straddles a chunk limit
+    monkeypatch.setattr(kloosterman, "_TABLE_BLOCK", 37)
+    cs = list(range(1, 600))
+    _assert_tables(cs, _unit_inverses(cs), half=True)
+
+
+def test_building_every_cached_table_keeps_memory_bounded():
+    # the batch is built chunk by chunk, so beyond the tables it returns
+    # (about 15 MB here) it holds only one chunk's temporaries
+    tracemalloc.start()
+    try:
+        tables = _unit_inverses(_PRIME_POWERS)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(tables) == len(_PRIME_POWERS)
+    assert peak - current < 2 * 2 ** 20
+
+
+def test_half_unit_cache_counts_and_evicts_like_lru_cache():
+    cache = _HalfUnits(maxsize=2)
+    assert cache.tables([3, 5]) == [cache(3), cache(5)]
+    assert cache.cache_info() == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
+    x, inv = cache.tables([7, 5])[0]
+    assert x.tolist() == [1, 2, 3] and inv.tolist() == [1, 4, 5]
+    assert cache.cache_info() == (3, 3, 2, 2)
+    cache(3)  # evicted with 7 built, as the least recently used
+    assert cache.cache_info() == (3, 4, 2, 2)
 
 
 def test_fast_matches_brute_on_prime_powers_and_composites():
@@ -141,3 +222,43 @@ def test_weil_bound_random_triples():
 def test_rejects_bad_c():
     with pytest.raises(ValueError):
         kloosterman_sum(1, 1, 0)
+
+
+def test_multi_pair_form_equals_one_call_per_pair(monkeypatch):
+    # the pairs of a delta_new(., 6, 1, n) l-lattice, each over its step's c;
+    # _CRT_PAIRS; repeated pairs; empty c arrays; c past _TWIST_MAX
+    from hecke_spectra.petersson import _new_cell
+
+    tasks = _new_cell(24, 6, 1, 5)[1]
+    ms = [t.m_eff for t in tasks] + [m for m, _ in _CRT_PAIRS] + [1, 1, 7, 13, 13]
+    ns = [t.n for t in tasks] + [n for _, n in _CRT_PAIRS] + [5, 5, 3, 13, 13]
+    cs = [np.arange(t.step, 500, t.step) for t in tasks]
+    cs += [np.arange(1, 900) for _ in _CRT_PAIRS]
+    cs += [np.arange(1, 700), np.arange(1, 700), np.array([], dtype=np.int64),
+           np.array([_TWIST_MAX - 1, _TWIST_MAX, 2 * 65537, 5, 3 ** 11]),
+           np.array([[4, 6], [1, 30030]])]
+    want = [kloosterman_sum_fast(m, n, c) for m, n, c in zip(ms, ns, cs)]
+    assert len({*zip(ms, ns)}) < len(ms)  # pairs repeat, in the lattice too
+    assert sum(c.size for c in cs) <= kloosterman._PASS_C  # so one pass takes them all
+
+    sums = []
+    real = kloosterman._prime_power_sums
+
+    def recording(a, b, q, table=None):
+        sums.append((q, np.atleast_1d(a).tolist(), np.atleast_1d(b).tolist()))
+        return real(a, b, q, table)
+
+    monkeypatch.setattr(kloosterman, "_prime_power_sums", recording)
+    got = kloosterman_sum_fast(ms, ns, cs)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and np.array_equal(g, w)
+    # one pass: one batch per q, and each (q, a, b) in it once
+    qs = [q for q, _, _ in sums]
+    assert len(qs) == len(set(qs))
+    assert all(len(set(zip(a, b))) == len(a) for _, a, b in sums)
+    # passes of a few pairs each give the same floats
+    monkeypatch.setattr(kloosterman, "_PASS_C", 2000)
+    for g, w in zip(kloosterman_sum_fast(ms, ns, cs), want):
+        assert np.array_equal(g, w)
+    assert kloosterman_sum_fast([], [], []) == []

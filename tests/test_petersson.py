@@ -108,11 +108,12 @@ def test_shared_walk_matches_one_call_per_cell():
 
 
 def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
-    calls = []
+    calls, passes = [], []
 
-    def counting(m, n, cs):
-        calls.extend((m, n, int(c)) for c in cs)
-        return kloosterman_sum_fast(m, n, cs)
+    def counting(ms, ns, cs):
+        passes.append(len(ms))
+        calls.extend((m, n, int(x)) for m, n, c in zip(ms, ns, cs) for x in c)
+        return kloosterman_sum_fast(ms, ns, cs)
 
     monkeypatch.setattr(petersson, "kloosterman_sum_fast", counting)
     cells = [(k, N, 1, n) for k in (4, 8, 12) for N in (1, 3) for n in (1, 2)]
@@ -120,6 +121,8 @@ def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
     # each full-level cell sums S(m, n; c) over c = 0 mod N up to its c_max
     wanted = {(m, n, c) for (_, N, m, n), r in zip(cells, results) for c in range(N, r.c_max + 1, N)}
     assert len(calls) == len(wanted) and set(calls) == wanted
+    # one block of c, so one call for both pairs (1, 1) and (1, 2)
+    assert max(r.c_max for r in results) <= petersson._C_BLOCK and passes == [2]
 
 
 def _per_c_walk(tasks):
@@ -275,6 +278,12 @@ def test_orbital_inner_integral_matches_direct_quadrature():
         a, b = t * (x + 1j), t + 1.0 / t - 1j * t * x
         direct = np.sum(w * (a * y + b) ** -k * np.exp(0.5j * k * y))
         assert abs(direct - want) <= 1e-9 * abs(want), x
+
+
+def test_orbital_rule_is_leggauss_8():
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    assert np.array_equal(petersson._GL8_NODES, nodes)
+    assert np.array_equal(petersson._GL8_WEIGHTS, weights)
 
 
 def test_orbital_domain_checks():
