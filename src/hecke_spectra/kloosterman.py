@@ -111,16 +111,17 @@ def _unit_inverses(moduli, half: bool = True) -> list:
 
     Montgomery's simultaneous inversion (Math. Comp. 48, 1987), blocked and
     run over many moduli at once.  The moduli go in chunks of at most
-    _TABLE_BLOCK candidates (a larger modulus alone).  In a chunk, the candidates of each modulus fill K columns of B
-    (non-units and padding set to 1); running products down the columns
-    leave one product per column, one square-and-multiply ladder raises each
-    to lambda(c) - 1 modulo its column's c (lambda the exponent of the unit
-    group), and a pass back up the columns peels off each inverse.  So a
-    chunk costs a fixed run of numpy calls over all its columns, not a run
-    per modulus; B ~ sqrt(chunk size)/8 in [2, 16] balances the B calls of
-    each pass against the ladder's work per column.  The arithmetic is int32
-    when every modulus is <= 2^15 (products < 2^30), else int64 (c <= ~3e9);
-    the inverses are exact integers either way."""
+    _TABLE_BLOCK candidates (a larger modulus alone).  In a chunk, the
+    candidates of each modulus fill K columns of B (non-units and padding set
+    to 1, struck by one slice per modulus and prime); running products down
+    the columns leave one product per column, one square-and-multiply ladder
+    raises each to lambda(c) - 1 modulo its column's c (lambda the exponent
+    of the unit group), and a pass back up the columns peels off each
+    inverse.  So the arithmetic of a chunk is a fixed run of numpy calls over
+    all its columns, not a run per modulus; B ~ sqrt(chunk size)/8 in
+    [2, 16] balances the B calls of each pass against the ladder's work per
+    column.  It is int32 when every modulus is <= 2^15 (products < 2^30),
+    else int64 (c <= ~3e9); the inverses are exact integers either way."""
     out, chunk, size = [], [], 0
     for c in moduli:
         span = (c - 1) // 2 if half else c - 1  # candidates 1..span
@@ -139,19 +140,21 @@ def _invert_chunk(moduli: list, half: bool) -> list:
     wide = moduli[0] > 2 ** 15
     dt = np.int64 if wide else np.int32
     facs = [factor(q) for q in moduli]
-    c = np.array(moduli, dtype=dt)
-    span = (c - 1) // 2 if half else c - 1  # candidates 1..span
-    B = min(16, max(2, round(math.sqrt(span.sum()) / 8)))
-    K = -(-span // B)  # columns of B candidates per modulus
-    mod = np.repeat(c, K)  # the modulus of each column
-    # row k of x holds the candidates of column k
-    x = (np.arange(K.sum(), dtype=dt) - np.repeat(np.cumsum(K, dtype=dt) - K, K))[:, None] * B
-    x = x + np.arange(1, B + 1, dtype=dt)
-    keep = x <= np.repeat(span, K)[:, None]  # past span: padding
-    for i in range(max(len(f.factors) for f in facs)):
-        p = [f.primes[i] if i < len(f.factors) else q + 1 for f, q in zip(facs, moduli)]
-        keep &= x % np.repeat(np.array(p, dtype=dt), K)[:, None] != 0
+    spans = [(q - 1) // 2 if half else q - 1 for q in moduli]  # candidates 1..span
+    B = min(16, max(2, round(math.sqrt(sum(spans)) / 8)))
+    K = [-(-span // B) for span in spans]  # columns of B candidates per modulus
+    starts = [0, *accumulate(k * B for k in K)]
+    # the units: each modulus's candidates, less the multiples of its primes
+    # and the padding past its span
+    keep = np.zeros(starts[-1], dtype=bool)
+    for f, span, a in zip(facs, spans, starts):
+        keep[a:a + span] = True
+        for p in f.primes:
+            keep[a + p - 1:a + span:p] = False
+    x = np.arange(1, starts[-1] + 1, dtype=dt) - np.repeat(np.array(starts[:-1], dtype=dt), np.array(K) * B)
+    x, keep = x.reshape(-1, B), keep.reshape(-1, B)  # row k: the candidates of column k
     u = np.ascontiguousarray(np.where(keep, x, 1).T)
+    mod = np.repeat(np.array(moduli, dtype=dt), K)  # the modulus of each column
     # running products down each column; the pass back up overwrites them
     # with the inverses
     run = np.empty_like(u)

@@ -90,14 +90,34 @@ def _assert_tables(moduli, tables, half):
 _PRIME_POWERS = [q for q in range(3, 2 ** 14 + 1) if len(factor(q).factors) == 1]
 
 
-def test_batched_tables_equal_the_per_q_sieve():
+@pytest.fixture(scope="module")
+def cached_tables():
+    """Every prime-power table q <= 2^14 from one call, with the traced
+    memory after the call and at its peak."""
+    tracemalloc.start()
+    try:
+        tables = _unit_inverses(_PRIME_POWERS)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return tables, current, peak
+
+
+def test_batched_tables_equal_the_per_q_sieve(cached_tables):
     # every prime power q <= 2^14 (the tables the walk caches) in one batch,
     # and every c of test_unit_tables in another
     assert len(_PRIME_POWERS) == 1960  # with q = 2, the 1,961 cached tables
-    _assert_tables(_PRIME_POWERS, _unit_inverses(_PRIME_POWERS), half=True)
+    _assert_tables(_PRIME_POWERS, cached_tables[0], half=True)
     cs = list(range(3, 3001)) + list(range(13000, 13101))
     _assert_tables(cs, _unit_inverses(cs), half=True)
     _assert_tables(cs[:600], _unit_inverses(cs[:600], half=False), half=False)
+
+
+def test_building_every_cached_table_keeps_memory_bounded(cached_tables):
+    # the batch is built chunk by chunk, so beyond the tables it returns
+    # (about 15 MB here) it holds only one chunk's temporaries
+    _, current, peak = cached_tables
+    assert peak - current < 2 * 2 ** 20
 
 
 def test_batched_tables_across_chunk_limits(monkeypatch):
@@ -118,19 +138,6 @@ def test_batched_tables_across_chunk_limits(monkeypatch):
     monkeypatch.setattr(kloosterman, "_TABLE_BLOCK", 37)
     cs = list(range(1, 600))
     _assert_tables(cs, _unit_inverses(cs), half=True)
-
-
-def test_building_every_cached_table_keeps_memory_bounded():
-    # the batch is built chunk by chunk, so beyond the tables it returns
-    # (about 15 MB here) it holds only one chunk's temporaries
-    tracemalloc.start()
-    try:
-        tables = _unit_inverses(_PRIME_POWERS)
-        current, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert len(tables) == len(_PRIME_POWERS)
-    assert peak - current < 2 * 2 ** 20
 
 
 def test_half_unit_cache_counts_and_evicts_like_lru_cache():
