@@ -24,11 +24,12 @@ never moves a sum.
 `kloosterman_sum_fast` also takes an int array of c, or a list of them with
 one (m, n) pair each, which is how the walk calls it: once per block of c,
 with every pair of the block over every c its tasks need.  The prime
-powers of all those c and the r* come from one cached table; across all the
+powers of all those c and the r* come from one cached table.  A pass takes
+the pairs of up to 2^16 values of c, which bounds its arrays; across its
 pairs, each distinct (q, m r*, n r*) is summed once, a batch per q, with
-every missing unit table of q <= 2^14 built in one batch; and the product
-over q is taken in increasing p, so each entry equals the scalar form bit
-for bit.
+every missing unit table of q <= 2^14 built in one batch.  The product over
+q is taken in increasing p, so each entry equals the scalar form bit for
+bit.
 """
 
 from __future__ import annotations

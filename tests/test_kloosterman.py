@@ -115,7 +115,7 @@ def test_batched_tables_equal_the_per_q_sieve(cached_tables):
 
 def test_building_every_cached_table_keeps_memory_bounded(cached_tables):
     # the batch is built chunk by chunk, so beyond the tables it returns
-    # (about 15 MB here) it holds only one chunk's temporaries
+    # (about 29 MB) it holds only one chunk's temporaries (about 0.3 MB)
     _, current, peak = cached_tables
     assert peak - current < 2 * 2 ** 20
 
