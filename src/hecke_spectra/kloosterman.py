@@ -21,22 +21,22 @@ simultaneous inversion (Math. Comp. 48, 1987), blocked and run over many
 moduli at once.  The inverses are exact integers, so the route to them
 never moves a sum.
 
-`kloosterman_sum_fast` also takes an int array of c, or a list of them with
-one (m, n) pair each, which is how the walk calls it: once per block of c,
-with every pair of the block over every c its tasks need.  The prime
-powers of all those c and the r* come from one cached table.  A pass takes
-the pairs of up to 2^16 values of c, which bounds its arrays; across its
-pairs, each distinct (q, m r*, n r*) is summed once, a batch per q, with
-every missing unit table of q <= 2^14 built in one batch.  The product over
-q is taken in increasing p, so each entry equals the scalar form bit for
-bit.
+`kloosterman_sum_fast` also takes an int array of c, with m and n ints or
+int arrays broadcast to its shape, which is how the walk calls it: once per
+block of c, with every pair of the block over every c its tasks need, laid
+end to end.  The prime powers of all those c and the r* come from one
+cached table.  A pass takes up to 2^16 entries, which bounds its arrays;
+across its entries, each distinct (q, m r*, n r*) is summed once, a batch
+per q, with every missing unit table of q <= 2^14 built in one batch.  The
+product over q is taken in increasing p, so each entry equals the scalar
+form bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 import threading
-from collections import OrderedDict, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -100,8 +100,7 @@ def kloosterman_sum(m: int, n: int, c: int) -> KloostermanValue:
 
 
 # candidate units per chunk of _unit_inverses, which bounds its temporaries; a
-# modulus past 2^15 has more, so it takes a chunk alone and every chunk has
-# one storage width
+# modulus past 2^15 takes a chunk alone, so every chunk has one storage width
 _TABLE_BLOCK = 1 << 14
 
 
@@ -112,7 +111,7 @@ def _unit_inverses(moduli, half: bool = True) -> list:
 
     Montgomery's simultaneous inversion (Math. Comp. 48, 1987), blocked and
     run over many moduli at once.  The moduli go in chunks of at most
-    _TABLE_BLOCK candidates (a larger modulus alone).  In a chunk, the
+    _TABLE_BLOCK candidates, a modulus past 2^15 alone.  In a chunk, the
     candidates of each modulus fill K columns of B (non-units and padding set
     to 1, struck by one slice per modulus and prime); running products down
     the columns leave one product per column, one square-and-multiply ladder
@@ -126,7 +125,7 @@ def _unit_inverses(moduli, half: bool = True) -> list:
     out, chunk, size = [], [], 0
     for c in moduli:
         span = (c - 1) // 2 if half else c - 1  # candidates 1..span
-        if chunk and size + span > _TABLE_BLOCK:
+        if chunk and (size + span > _TABLE_BLOCK or (c > 2 ** 15) != (chunk[0] > 2 ** 15)):
             out += _invert_chunk(chunk, half)
             chunk, size = [], 0
         chunk.append(c)
@@ -163,9 +162,10 @@ def _invert_chunk(moduli: list, half: bool) -> list:
     for i in range(1, B):
         run[i] = run[i - 1] * u[i] % mod
     lams = [carmichael_lambda(f) - 1 for f in facs]
-    w = np.ones_like(mod)
-    base = run[B - 1].copy()
-    if min(lams) == max(lams):  # one exponent (one modulus, say): a scalar ladder
+    w, base = np.ones_like(mod), run[B - 1]
+    if min(lams) == max(lams):
+        # one exponent (a lone modulus, say): a scalar ladder skips the
+        # multiply at zero bits, which takes a lone table from ~135 to ~85 us
         e = lams[0]
         while e:
             if e & 1:
@@ -173,7 +173,7 @@ def _invert_chunk(moduli: list, half: bool) -> list:
             base = base * base % mod
             e >>= 1
     else:
-        e = np.repeat(lams, K)
+        e = np.repeat(lams, K)  # each column's exponent
         while e.any():
             w = np.where(e & 1, w * base % mod, w)
             base = base * base % mod
@@ -194,48 +194,41 @@ _CacheInfo = namedtuple("CacheInfo", ["hits", "misses", "maxsize", "currsize"])
 
 
 class _HalfUnits:
-    """The half tables, kept in least-recently-used order: units x in
-    (0, c/2) mod c, ascending, with their inverses in [1, c), used with the
-    x <-> c-x pairing, which makes the sum 2*sum(cos) and exactly real.
-    Stored as int16 for c <= 2^15 and int32 above (c <= 2^31), which keeps a
-    long walk's tables small; callers widen them before any product.
+    """The half tables of the prime powers 2 < q <= _CACHED_Q, the only keys
+    it is given: units x in (0, q/2) mod q, ascending, with their inverses
+    in [1, q), used with the x <-> q-x pairing, which makes the sum
+    2*sum(cos) and exactly real.  Stored as int16, which keeps them small;
+    callers widen them before any product.  The keys are a fixed set of
+    1,960, so every table is kept and none evicted (about 29 MB in all);
+    larger q are built afresh by `_prime_power_sums`, since a walk to
+    c = 50803 otherwise kept 291 MB of them, each used about once.
     `tables` builds every table it lacks in one `_unit_inverses` call.
-    `kloosterman_sum_fast` caches only the prime powers q <= 2^14, all 1,961
-    of which the cache holds at once, and builds larger ones afresh: a walk
-    to c = 50803 otherwise kept 291 MB of them, each used about once.
-    cache_info() counts as functools.lru_cache does, a hit or miss per c."""
+    cache_info() counts as functools.lru_cache does, a hit or miss per q."""
 
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
+    def __init__(self):
         self.hits = self.misses = 0
-        self._tables = OrderedDict()
+        self._tables = {}
         self._lock = threading.Lock()
 
-    def __call__(self, c: int):
-        return self.tables([c])[0]
+    def __call__(self, q: int):
+        return self.tables([q])[0]
 
     def tables(self, moduli) -> list:
-        with self._lock:
-            got = {c: self._tables[c] for c in moduli if c in self._tables}
-            for c in got:
-                self._tables.move_to_end(c)
-        new = [c for c in dict.fromkeys(moduli) if c not in got]
+        got = {q: self._tables[q] for q in moduli if q in self._tables}
+        new = [q for q in dict.fromkeys(moduli) if q not in got]
         got.update(zip(new, _unit_inverses(new)))
         with self._lock:
             self.hits += len(moduli) - len(new)
             self.misses += len(new)
-            for c in new:
-                self._tables[c] = got[c]
-            while len(self._tables) > self.maxsize:
-                self._tables.popitem(last=False)
-        return [got[c] for c in moduli]
+            self._tables.update((q, got[q]) for q in new)
+        return [got[q] for q in moduli]
 
     def cache_info(self):
-        return _CacheInfo(self.hits, self.misses, self.maxsize, len(self._tables))
+        return _CacheInfo(self.hits, self.misses, None, len(self._tables))
 
 
-_half_units = _HalfUnits(maxsize=2048)
-_CACHED_Q = 1 << 14  # the prime powers whose half tables _half_units keeps
+_half_units = _HalfUnits()
+_CACHED_Q = 1 << 14  # the largest prime power whose half table _half_units keeps
 
 
 def _prime_power_sums(a, b, q: int, table=None):
@@ -314,39 +307,27 @@ def _twists(bits: int):
 
 
 _TWIST_MAX = 1 << 16  # c past this take the scalar route, so no table tops ~6 MB
-_PASS_C = 1 << 16  # values of c per pass of _kloosterman_sums, which bounds its arrays
+_PASS_C = 1 << 16  # entries per pass of _kloosterman_sums, which bounds its arrays
 
 
-def _kloosterman_sums(ms, ns, cs) -> list:
-    """kloosterman_sum_fast of each pair (ms[i], ns[i]) (within int64) at
-    every entry of the int array cs[i].  c below _TWIST_MAX go in passes over
-    consecutive pairs holding at most _PASS_C of them (a larger array alone);
-    larger c take one scalar call each, which needs no table."""
-    cs = [np.asarray(c, dtype=np.int64) for c in cs]
-    if any(c.size and c.min() < 1 for c in cs):
+def _kloosterman_sums(m, n, c) -> np.ndarray:
+    """kloosterman_sum_fast of an int array c, with m and n (within int64)
+    broadcast to its shape.  Entries below _TWIST_MAX go in passes of at most
+    _PASS_C; each value depends only on its own (m, n, c), so the cut moves
+    none.  Larger c take one scalar call each, which needs no table."""
+    c = np.asarray(c, dtype=np.int64)
+    if c.size and c.min() < 1:
         raise ValueError("kloosterman_sum_fast: c must be positive")
-    out = [np.ones(c.shape) for c in cs]
-    small = []
-    for m, n, c, s in zip(ms, ns, cs, out):
-        big = c >= _TWIST_MAX
-        s[big] = [kloosterman_sum_fast(m, n, int(x)) for x in c[big]]
-        small.append(~big)
-    groups, size = [[]], 0
-    for i, c in enumerate(cs):
-        if groups[-1] and size + c.size > _PASS_C:
-            groups.append([])
-            size = 0
-        groups[-1].append(i)
-        size += c.size
-    for group in groups:
-        parts = [cs[i][small[i]] for i in group]
-        sizes = [part.size for part in parts]
-        c = np.concatenate([np.zeros(0, dtype=np.int64), *parts])
-        m = np.repeat(np.array([ms[i] for i in group], dtype=np.int64), sizes)
-        n = np.repeat(np.array([ns[i] for i in group], dtype=np.int64), sizes)
-        for i, s in zip(group, np.split(_twisted_products(c, m, n), np.cumsum(sizes)[:-1])):
-            out[i][small[i]] = s
-    return out
+    m, n = (np.broadcast_to(np.asarray(v, dtype=np.int64), c.shape).ravel() for v in (m, n))
+    flat = c.ravel()
+    out = np.ones(flat.shape)
+    big = np.flatnonzero(flat >= _TWIST_MAX)
+    out[big] = [kloosterman_sum_fast(int(m[j]), int(n[j]), int(flat[j])) for j in big]
+    small = np.flatnonzero(flat < _TWIST_MAX)
+    for lo in range(0, small.size, _PASS_C):
+        j = small[lo:lo + _PASS_C]
+        out[j] = _twisted_products(flat[j], m[j], n[j])
+    return out.reshape(c.shape)
 
 
 def _prime_power_values(c, m, n):
@@ -403,17 +384,14 @@ def kloosterman_sum_fast(m, n, c):
     per-value certification (the harness-facing kloosterman_sum is the
     certified evaluator).
 
-    c is an int (a float is returned), an int ndarray (an ndarray of its
-    shape is, each entry equal bit for bit to the float at that c), or a list
-    of int ndarrays, one per pair, with m and n equal-length sequences of
-    ints (a list of ndarrays is returned, each equal bit for bit to the call
-    on its pair alone).  A scalar c reads its prime powers from `factor` and
-    memoizes each prime-power sum; the array forms share each distinct
-    prime-power sum across all their c below _TWIST_MAX and all their pairs."""
-    if isinstance(c, list):
-        return _kloosterman_sums(m, n, c)
+    c is an int (a float is returned) or an int ndarray, with m and n ints
+    or int arrays broadcast to its shape (an ndarray of c's shape is
+    returned, each entry equal bit for bit to the float of the scalar call
+    on its m, n and c).  A scalar c reads its prime powers from `factor` and
+    memoizes each prime-power sum; the array form shares each distinct
+    prime-power sum across all its entries below _TWIST_MAX."""
     if isinstance(c, np.ndarray):
-        return _kloosterman_sums([m], [n], [c])[0]
+        return _kloosterman_sums(m, n, c)
     s = 1.0
     for p, e in factor(c).factors:
         q = p ** e

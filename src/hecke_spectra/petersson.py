@@ -186,10 +186,12 @@ def _run_c_sums(tasks: List[_Task]) -> None:
             orders.setdefault(t.nu, []).append(i)
         coef = [None] * len(live)  # S(m_eff, n; c)/c of each live task
         # the sorted distinct c of each pair (np.unique would import numpy.ma
-        # on its first call), all pairs in one Kloosterman call
+        # on its first call), all pairs end to end in one Kloosterman call
         cs = [np.sort(np.concatenate([live[i][1] for i in group])) for group in pairs.values()]
         cs = [c[np.concatenate(([True], c[1:] != c[:-1]))] for c in cs]
-        sums = kloosterman_sum_fast([m for m, _ in pairs], [n for _, n in pairs], cs)
+        sizes = [c.size for c in cs]
+        m, n = (np.repeat(np.array(v, dtype=np.int64), sizes) for v in zip(*pairs))
+        sums = np.split(kloosterman_sum_fast(m, n, np.concatenate(cs)), np.cumsum(sizes)[:-1])
         for group, c_pair, s in zip(pairs.values(), cs, sums):
             for i in group:
                 c = live[i][1]

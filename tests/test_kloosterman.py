@@ -12,7 +12,6 @@ from hecke_spectra import kloosterman
 from hecke_spectra.arithmetic import factor
 from hecke_spectra.kloosterman import (
     _TWIST_MAX,
-    _half_units,
     _HalfUnits,
     _unit_inverses,
     _units_and_inverses,
@@ -58,7 +57,7 @@ def test_unit_tables():
     # mod c), ascending, each with its inverse in [1, c); the half tables are
     # stored narrow, so the product is taken in int64
     for c in list(range(3, 3001)) + list(range(13000, 13101)):
-        x, inv = _half_units(c)
+        x, inv = _unit_inverses([c])[0]
         assert x.tolist() == [a for a in range(1, c) if 2 * a < c and math.gcd(a, c) == 1], c
         assert ((x.astype(np.int64) * inv) % c == 1).all(), c
         assert ((inv >= 1) & (inv < c)).all(), c
@@ -123,11 +122,11 @@ def test_building_every_cached_table_keeps_memory_bounded(cached_tables):
 def test_batched_tables_across_chunk_limits(monkeypatch):
     # spans (c - 1)/2 of 8192 + 8191 fill one chunk of 2^14 exactly; one more
     # candidate spills the second modulus into the next chunk; a modulus
-    # past 2^15 (stored wide) has more candidates than a chunk, so it goes
-    # alone, as does 40009, and no chunk mixes storage widths
+    # past 2^15 (stored wide) goes alone, even beside a modulus of span 0,
+    # so no chunk mixes storage widths
     assert kloosterman._TABLE_BLOCK == 2 ** 14
     for moduli in ([16385, 16383, 3, 5], [16385, 16385, 7], [1, 2, 3, 2 ** 15, 2 ** 15 + 3, 3],
-                   [40009, 25, 65521, 2 ** 16 + 1]):
+                   [40009, 25, 65521, 2 ** 16 + 1], [40009, 2], [2, 32769], [1, 40009, 1]):
         for half in (True, False):
             tables = _unit_inverses(moduli, half)
             _assert_tables(moduli, tables, half)
@@ -140,15 +139,13 @@ def test_batched_tables_across_chunk_limits(monkeypatch):
     _assert_tables(cs, _unit_inverses(cs), half=True)
 
 
-def test_half_unit_cache_counts_and_evicts_like_lru_cache():
-    cache = _HalfUnits(maxsize=2)
+def test_half_unit_cache_counts_like_lru_cache():
+    cache = _HalfUnits()
     assert cache.tables([3, 5]) == [cache(3), cache(5)]
-    assert cache.cache_info() == (2, 2, 2, 2)  # hits, misses, maxsize, currsize
-    x, inv = cache.tables([7, 5])[0]
+    assert cache.cache_info() == (2, 2, None, 2)  # hits, misses, maxsize, currsize
+    x, inv = cache.tables([7, 5, 7])[0]
     assert x.tolist() == [1, 2, 3] and inv.tolist() == [1, 4, 5]
-    assert cache.cache_info() == (3, 3, 2, 2)
-    cache(3)  # evicted with 7 built, as the least recently used
-    assert cache.cache_info() == (3, 4, 2, 2)
+    assert cache.cache_info() == (4, 3, None, 3)  # 7 built once, for both lookups
 
 
 def test_fast_matches_brute_on_prime_powers_and_composites():
@@ -233,20 +230,22 @@ def test_rejects_bad_c():
 
 def test_multi_pair_form_equals_one_call_per_pair(monkeypatch):
     # the pairs of a delta_new(., 6, 1, n) l-lattice, each over its step's c;
-    # _CRT_PAIRS; repeated pairs; empty c arrays; c past _TWIST_MAX
+    # _CRT_PAIRS; repeated pairs; empty c arrays; c past _TWIST_MAX; all
+    # laid end to end in one call, as the walk makes it
     from hecke_spectra.petersson import _new_cell
 
     tasks = _new_cell(24, 6, 1, 5)[1]
-    ms = [t.m_eff for t in tasks] + [m for m, _ in _CRT_PAIRS] + [1, 1, 7, 13, 13]
-    ns = [t.n for t in tasks] + [n for _, n in _CRT_PAIRS] + [5, 5, 3, 13, 13]
+    ms = [t.m_eff for t in tasks] + [m for m, _ in _CRT_PAIRS] + [1, 1, 7, 13]
+    ns = [t.n for t in tasks] + [n for _, n in _CRT_PAIRS] + [5, 5, 3, 13]
     cs = [np.arange(t.step, 500, t.step) for t in tasks]
     cs += [np.arange(1, 900) for _ in _CRT_PAIRS]
     cs += [np.arange(1, 700), np.arange(1, 700), np.array([], dtype=np.int64),
-           np.array([_TWIST_MAX - 1, _TWIST_MAX, 2 * 65537, 5, 3 ** 11]),
-           np.array([[4, 6], [1, 30030]])]
+           np.array([_TWIST_MAX - 1, _TWIST_MAX, 2 * 65537, 5, 3 ** 11])]
     want = [kloosterman_sum_fast(m, n, c) for m, n, c in zip(ms, ns, cs)]
     assert len({*zip(ms, ns)}) < len(ms)  # pairs repeat, in the lattice too
-    assert sum(c.size for c in cs) <= kloosterman._PASS_C  # so one pass takes them all
+    sizes = [c.size for c in cs]
+    m, n, c = np.repeat(ms, sizes), np.repeat(ns, sizes), np.concatenate(cs)
+    assert c.size <= kloosterman._PASS_C  # so one pass takes them all
 
     sums = []
     real = kloosterman._prime_power_sums
@@ -256,16 +255,19 @@ def test_multi_pair_form_equals_one_call_per_pair(monkeypatch):
         return real(a, b, q, table)
 
     monkeypatch.setattr(kloosterman, "_prime_power_sums", recording)
-    got = kloosterman_sum_fast(ms, ns, cs)
+    got = np.split(kloosterman_sum_fast(m, n, c), np.cumsum(sizes)[:-1])
     assert len(got) == len(want)
     for g, w in zip(got, want):
-        assert g.shape == w.shape and np.array_equal(g, w)
+        assert np.array_equal(g, w)
     # one pass: one batch per q, and each (q, a, b) in it once
     qs = [q for q, _, _ in sums]
     assert len(qs) == len(set(qs))
     assert all(len(set(zip(a, b))) == len(a) for _, a, b in sums)
-    # passes of a few pairs each give the same floats
+    # passes cut inside pairs give the same floats
     monkeypatch.setattr(kloosterman, "_PASS_C", 2000)
-    for g, w in zip(kloosterman_sum_fast(ms, ns, cs), want):
-        assert np.array_equal(g, w)
-    assert kloosterman_sum_fast([], [], []) == []
+    assert np.array_equal(kloosterman_sum_fast(m, n, c), np.concatenate(want))
+    # m and n broadcast to the shape of a 2-D c
+    ms2, cs2 = np.array([[1], [7], [-44100]]), np.array([[4, 6, 30030, 1]] * 3)
+    got = kloosterman_sum_fast(ms2, 5, cs2)
+    assert got.shape == (3, 4)
+    assert np.array_equal(got, [[kloosterman_sum_fast(int(m), 5, int(c)) for c in cs2[0]] for m in ms2[:, 0]])

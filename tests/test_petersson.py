@@ -110,10 +110,10 @@ def test_shared_walk_matches_one_call_per_cell():
 def test_walk_evaluates_each_kloosterman_sum_once(monkeypatch):
     calls, passes = [], []
 
-    def counting(ms, ns, cs):
-        passes.append(len(ms))
-        calls.extend((m, n, int(x)) for m, n, c in zip(ms, ns, cs) for x in c)
-        return kloosterman_sum_fast(ms, ns, cs)
+    def counting(m, n, c):
+        passes.append(len({*zip(m.tolist(), n.tolist())}))
+        calls.extend(zip(m.tolist(), n.tolist(), c.tolist()))
+        return kloosterman_sum_fast(m, n, c)
 
     monkeypatch.setattr(petersson, "kloosterman_sum_fast", counting)
     cells = [(k, N, 1, n) for k in (4, 8, 12) for N in (1, 3) for n in (1, 2)]
