@@ -6,6 +6,11 @@ sin((k-1)theta)/(sqrt(n) sin theta) rather than through powers of the root
 rho = sqrt(n) e^{i theta}; the rational terms (identity, hyperbolic, k=2
 correction) are carried as exact Fraction coefficients of n^{-1/2}.
 
+The elliptic-term coefficients D_N(t, n) of the variance and arith-sum
+experiments come from one integer row per (n, N), `d_coefficients`, read
+from the class-number table; the per-(t, f) `Fraction` sum `_hw_sum`, which
+the trace's elliptic term still runs on, is its reference route in the tests.
+
 The newform trace is computed once, from its own closed-form terms.  The
 Mobius/divisor-count combination of full-level traces is an independent
 second route, `newform_cross_route`; the unit tests compare the two on a grid
@@ -131,13 +136,59 @@ def _hw_sum(t: int, n: int, N: int, tilde: bool) -> Fraction:
     return total
 
 
+@lru_cache(maxsize=64)
+def d_coefficients(n: int, N: int) -> np.ndarray:
+    """D_N(t, n) for t = -tmax..tmax, tmax = isqrt(4n - 1), as one read-only
+    float64 row (entry t + tmax), computed in integers.
+
+    One numpy pass per f finds every t with f^2 | 4n - t^2 and
+    m = (4n - t^2)/f^2 = 0 or 3 mod 4, and adds 6 h_w(-m) = (6/w) h(-m), read
+    from the shared class-number table, times mu_tilde(t, f, n, N).  For
+    every d | N the local weight depends on t and f only through t mod N^2
+    and gcd(N, f), so mu_tilde is called once per such pair.  The int64 sum
+    S6 becomes a float only at the end, as S6 / 6.0 / (2.0 sqrt(4n - t^2));
+    every step is exact or correctly rounded, so each value equals
+    float(_hw_sum(t, n, N, True)) / (2.0 sqrt(4n - t^2)) bit for bit.
+
+    The last 64 rows are kept.  At 4n <= MAX_ABS_DISC a row has at most
+    6,325 entries (49 KiB), so the cache holds at most about 3.2 MB."""
+    tmax = math.isqrt(4 * n - 1)
+    ts = np.arange(-tmax, tmax + 1)
+    disc = 4 * n - ts * ts
+    h = ensure_table(4 * n)
+    weights: dict = {}  # gcd(N, f) -> {t mod N^2: mu_tilde}
+    s6 = np.zeros(len(ts), dtype=np.int64)
+    for f in range(1, math.isqrt(4 * n) + 1):
+        ff = f * f
+        lo = tmax - math.isqrt(4 * n - ff)  # the t with 4n - t^2 >= f^2
+        hit = np.nonzero(disc[lo : len(ts) - lo] % ff == 0)[0] + lo
+        m = disc[hit] // ff
+        keep = m % 4 % 3 == 0  # m = 0 or 3 mod 4
+        hit, m = hit[keep], m[keep]
+        if not len(hit):
+            continue
+        six_hw = h[m] * np.where(m == 3, 2, np.where(m == 4, 3, 6))
+        by_t = weights.setdefault(math.gcd(N, f), {})
+        mu = []
+        for t in ts[hit].tolist():
+            r = t % (N * N)
+            if r not in by_t:
+                by_t[r] = mu_tilde(t, f, n, N)
+            mu.append(by_t[r])
+        s6[hit] += six_hw * np.array(mu)
+    row = s6 / 6.0 / (2.0 * np.sqrt(disc))
+    row.flags.writeable = False
+    return row
+
+
 def d_coefficient(t: int, n: int, N: int) -> float:
     """Magnitude of the elliptic-term coefficient D_N(t,n); even in t.
     (The signed convention that flips under t -> -t also carries a factor i;
-    both are bookkeeping and cancel in every observable quantity here.)"""
+    both are bookkeeping and cancel in every observable quantity here.)
+    A read of the row `d_coefficients(n, N)`."""
     if t * t >= 4 * n:
         raise ValueError("d_coefficient: need t^2 < 4n")
-    return float(_hw_sum(t, n, N, True)) / (2.0 * math.sqrt(4 * n - t * t))
+    return float(d_coefficients(n, N)[t + math.isqrt(4 * n - 1)])
 
 
 def _elliptic_term(n: int, k: int, N: int, tilde: bool) -> float:
@@ -154,9 +205,10 @@ def _elliptic_term(n: int, k: int, N: int, tilde: bool) -> float:
 
 
 def _hyperbolic_coeff(n: int, k: int, N: int) -> Fraction:
-    """Exact coefficient of n^{-1/2} in the divisor-pair term."""
-    acc = Fraction(0)
-    npow = n ** (k // 2 - 1)
+    """Exact coefficient of n^{-1/2} in the divisor-pair term: the integer
+    numerators over the one denominator 2 n^{k/2-1} (the weight 1/2 of
+    d = sqrt(n) as a factor 1 against 2), reduced once."""
+    num = 0
     for d in divisors(n):
         if d * d > n:
             continue
@@ -165,9 +217,8 @@ def _hyperbolic_coeff(n: int, k: int, N: int) -> Fraction:
             for c in divisors(N)
             if (n // d - d) % (g := math.gcd(c, N // c)) == 0
         )
-        w = Fraction(1, 2) if d * d == n else Fraction(1)
-        acc -= w * csum * Fraction(d ** (k - 1), npow)
-    return acc
+        num += (1 if d * d == n else 2) * csum * d ** (k - 1)
+    return Fraction(-num, 2 * n ** (k // 2 - 1))
 
 
 def _check_class_range(what: str, n: int) -> None:
@@ -332,7 +383,7 @@ def _variance_inputs(n: int, N: int, T: float):
     check_variance_cell(n, N, T)
     tmax = math.isqrt(4 * n - 1)
     ts = np.arange(-tmax, tmax + 1)
-    y = np.array([d_coefficient(int(t), n, N) for t in ts])
+    y = d_coefficients(n, N)
     theta = np.arctan2(np.sqrt(4.0 * n - ts.astype(float) ** 2), ts.astype(float))
     return ts, y, theta
 

@@ -199,19 +199,26 @@ def cache_put(entry: CacheEntry) -> None:
     _CACHE.put(entry)
 
 
-def _memo_float(name: str, args: str, compute: Callable[[], Tuple[float, Optional[float]]]) -> float:
-    hit = cache_get((name, args))
-    if hit is not None and not hit.is_exact:
-        return float(hit.value)
-    value, err = compute()
-    cache_put(CacheEntry((name, args), float(value), err))
-    return value
+def _memo_d_row(n: int, N: int, table_limit: int) -> List[float]:
+    """D_N(t, n) for t = -tmax..tmax, tmax = isqrt(4n - 1), one memo key
+    ("d_coefficient", "t,n,N") per t.  On any miss the class-number table is
+    grown to table_limit (a sweep's largest 4n, so a sweep builds it once),
+    the row `d_coefficients(n, N)` is computed once, and only the missing
+    keys are put, in increasing t."""
+    from .class_numbers import ensure_table
+    from .eichler_selberg import d_coefficients
 
-
-def cached_d_coefficient(t: int, n: int, N: int) -> float:
-    from .eichler_selberg import d_coefficient
-
-    return _memo_float("d_coefficient", f"{t},{n},{N}", lambda: (d_coefficient(t, n, N), 0.0))
+    tmax = math.isqrt(4 * n - 1)
+    keys = [("d_coefficient", f"{t},{n},{N}") for t in range(-tmax, tmax + 1)]
+    hits = [cache_get(key) for key in keys]
+    if all(hit is not None and not hit.is_exact for hit in hits):
+        return [float(hit.value) for hit in hits]
+    ensure_table(table_limit)
+    row = d_coefficients(n, N).tolist()
+    for key, hit, d in zip(keys, hits, row):
+        if hit is None:
+            cache_put(CacheEntry(key, d, 0.0))
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,15 @@ def _validate(experiment: str, cells: Sequence[dict], check: Callable[[dict], No
             check(cell)
         except ValueError as exc:
             raise ConfigError(f"{experiment} cell {cell}: {exc}") from None
+
+
+def _grow_class_table(cells: Sequence[dict]) -> None:
+    """Build the class-number table once, at the sweep's largest 4n, rather
+    than once per power of two the cells pass."""
+    from .class_numbers import ensure_table
+
+    if cells:
+        ensure_table(4 * max(c["n"] for c in cells))
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +426,7 @@ def _exp_noweight(cfg):
         for n in _int_list(cfg, "n")
     ]
     _validate("noweight", cells, lambda c: check_noweight_cell(c["n"], c["N"], c["delta"]))
+    _grow_class_table(cells)
 
     def work(cell):
         n = cell["n"]
@@ -437,6 +454,7 @@ def _exp_variance(cfg):
             T = _float_scalar(cfg, "T") if "T" in cfg else 2.0 * math.ceil(math.sqrt(n))
             cells.append({"n": n, "N": N, "T": T})
     _validate("variance", cells, lambda c: check_variance_cell(c["n"], c["N"], c["T"]))
+    _grow_class_table(cells)
 
     def work(cell):
         v = variance_window(cell["n"], cell["N"], cell["T"])
@@ -451,7 +469,7 @@ def _exp_variance(cfg):
 
 
 def _exp_arith_sum(cfg):
-    from .class_numbers import admissible_n0, count_A
+    from .class_numbers import admissible_n0, count_A, ensure_r3_table
     from .eichler_selberg import check_arith_sum_cell
 
     cells = [
@@ -461,13 +479,14 @@ def _exp_arith_sum(cfg):
         if n % 2 == 1 and math.gcd(n, N) == 1
     ]
     _validate("arith-sum", cells, lambda c: check_arith_sum_cell(c["n"], c["N"]))
+    limit = 4 * max((c["n"] for c in cells), default=0)
+    if cells:
+        ensure_r3_table(limit)  # once, at the sweep's largest 4n
 
     def work(cell):
         n, N = cell["n"], cell["N"]
         tmax = math.isqrt(4 * n - 1)
-        dsum = math.fsum(
-            cached_d_coefficient(t, n, N) ** 2 for t in range(-tmax, tmax + 1)
-        )
+        dsum = math.fsum(d ** 2 for d in _memo_d_row(n, N, limit))
         outputs = {"d_square_sum": dsum, "normalized": dsum / math.sqrt(n)}
         n0 = admissible_n0(N, n)
         outputs["n0"] = n0

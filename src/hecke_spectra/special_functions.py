@@ -24,8 +24,9 @@ from math import lgamma
 
 import numpy as np
 
-# mpmath is imported inside the functions that use it: petersson imports this
-# module for jv, bessel_j and _log_series_head only, and starts without mpmath.
+# mpmath is imported inside the functions that use it (Airy Ai): petersson
+# imports this module for jv, bessel_j and _log_series_head only, and starts
+# without mpmath.
 # mp.workdps mutates the shared mpmath context; concurrent entry from a
 # library caller's threads can shift precision mid-computation (observed as a
 # tanh-sinh node collapsing onto an endpoint singularity).  Every workdps
@@ -46,13 +47,6 @@ class BesselEval:
     def __post_init__(self):
         if abs(self.value) > 1.0 + 1e-12:
             raise ValueError(f"|J_{self.order}({self.argument})| = {self.value} > 1")
-
-
-@dataclass(frozen=True)
-class TestFunctionPsi:
-    """Normalized bump c*exp(-1/(1-t^2)) on (-1,1)."""
-
-    normalization: float
 
 
 def _log_series_head(nu: int, x: float) -> float:
@@ -341,20 +335,17 @@ def bessel_transition_approx(alpha: float, a: float) -> float:
     return cbrt2 / alpha ** (1.0 / 3.0) * airy_ai(-cbrt2 * a)
 
 
-@lru_cache(maxsize=1)
-def _psi() -> TestFunctionPsi:
-    import mpmath as mp
-
-    with MP_CONTEXT_LOCK, mp.workdps(30):
-        integral = mp.quad(lambda t: mp.exp(-1 / (1 - t * t)), [-1, 1])
-        return TestFunctionPsi(float(1 / integral))
+# 1 / integral of exp(-1/(1-t^2)) over (-1, 1), rounded from a 30-digit
+# mpmath quadrature (a unit test recomputes it)
+PSI_NORMALIZATION = 2.252283621043581
 
 
 def psi_eval(t: float) -> float:
-    """Normalized smooth bump supported in [-1,1] with integral 1."""
+    """Normalized smooth bump c*exp(-1/(1-t^2)) supported in [-1,1] with
+    integral 1."""
     if abs(t) >= 1.0:
         return 0.0
-    return _psi().normalization * math.exp(-1.0 / (1.0 - t * t))
+    return PSI_NORMALIZATION * math.exp(-1.0 / (1.0 - t * t))
 
 
 def phi_eval(x: float) -> float:

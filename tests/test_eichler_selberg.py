@@ -4,11 +4,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hecke_spectra.arithmetic import mobius, sigma
+from hecke_spectra.arithmetic import divisors, euler_phi, mobius, sigma
 from hecke_spectra.eichler_selberg import (
     WindowSpec,
+    _hw_sum,
+    _hyperbolic_coeff,
     averaged_trace_window,
     d_coefficient,
+    d_coefficients,
     diagonal_side,
     newform_cross_route,
     noweight_main_term,
@@ -124,6 +127,59 @@ def test_d_coefficient_even_in_t():
             tmax = math.isqrt(4 * n - 1)
             for t in range(0, tmax + 1):
                 assert d_coefficient(t, n, N) == d_coefficient(-t, n, N)
+
+
+# every level on n <= 1001, the large n (whose per-t route is slow) on four
+ROW_CELLS = [(n, N) for N in (1, 2, 3, 4, 5, 6, 7, 10, 11, 12, 30)
+             for n in tuple(range(1, 25)) + (97, 243, 625, 1001)]
+ROW_CELLS += [(n, N) for N in (1, 6, 12, 30) for n in (1369, 2401, 2999)]
+
+
+def test_d_coefficients_match_the_per_t_route():
+    # every value bit for bit against the per-(t, f) Fraction route
+    unit_terms = set()
+    for n, N in ROW_CELLS:
+        row = d_coefficients(n, N)
+        tmax = math.isqrt(4 * n - 1)
+        assert row.shape == (2 * tmax + 1,)
+        for t in range(-tmax, tmax + 1):
+            want = float(_hw_sum(t, n, N, True)) / (2.0 * math.sqrt(4 * n - t * t))
+            assert float(row[t + tmax]).hex() == want.hex(), (t, n, N)
+            m = 4 * n - t * t
+            for unit in (3, 4):  # the w = 3 and w = 2 terms, h_w(-unit) at f^2 = m/unit
+                if m % unit == 0 and math.isqrt(m // unit) ** 2 == m // unit:
+                    unit_terms.add(unit)
+    assert unit_terms == {3, 4}
+
+
+def test_d_coefficient_reads_the_row():
+    row = d_coefficients(105, 2)
+    assert not row.flags.writeable
+    for t in (-20, -3, 0, 7, 20):
+        assert d_coefficient(t, 105, 2) == row[t + 20]
+    with pytest.raises(ValueError):
+        d_coefficient(21, 105, 2)  # t^2 >= 4n
+
+
+def _hyperbolic_per_divisor(n, k, N):
+    # one reduced Fraction per divisor, as the coefficient was first written
+    acc = Fraction(0)
+    for d in divisors(n):
+        if d * d > n:
+            continue
+        csum = sum(euler_phi(math.gcd(c, N // c)) for c in divisors(N)
+                   if (n // d - d) % math.gcd(c, N // c) == 0)
+        w = Fraction(1, 2) if d * d == n else Fraction(1)
+        acc -= w * csum * Fraction(d ** (k - 1), n ** (k // 2 - 1))
+    return acc
+
+
+def test_hyperbolic_coeff_one_denominator():
+    cells = [(n, k, N) for n in (1, 2, 4, 6, 9, 12, 36, 100) for k in (2, 4, 12, 24)
+             for N in (1, 5, 6, 11) if math.gcd(n, N) == 1]
+    cells += [(2280, 600, 1), (9120, 1200, 1), (36480, 2400, 1), (36480, 2400, 7)]
+    for n, k, N in cells:
+        assert _hyperbolic_coeff(n, k, N) == _hyperbolic_per_divisor(n, k, N), (n, k, N)
 
 
 def test_variance_identity_small():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from hecke_spectra import class_numbers, harness
+from hecke_spectra import class_numbers, eichler_selberg, harness
 from hecke_spectra.harness import (
     CacheEntry,
     ConfigError,
@@ -184,6 +184,40 @@ def test_cold_vs_warm_identical():
     cold = run_experiment("arith-sum", cfg)
     warm = run_experiment("arith-sum", cfg)
     assert [r.outputs for r in cold] == [r.outputs for r in warm]
+
+
+def test_cold_memo_lines_follow_the_per_t_route():
+    # one line per t in increasing t, each value from the per-(t, f) route
+    run_experiment("arith-sum", {"n": "105", "N": "2"})
+    want = []
+    for t in range(-20, 21):
+        d = float(eichler_selberg._hw_sum(t, 105, 2, True)) / (2.0 * math.sqrt(420 - t * t))
+        payload = harness._entry_payload(CacheEntry(("d_coefficient", f"{t},105,2"), d, 0.0))
+        payload["sha"] = harness._line_checksum(payload)
+        want.append(json.dumps(payload, sort_keys=True))
+    assert harness._cache_file().read_text().splitlines() == want
+
+
+def test_memo_with_missing_keys_recomputes_the_row_once(monkeypatch):
+    cfg = {"n": "105", "N": "2"}
+    cold = run_experiment("arith-sum", cfg)
+    path = harness._cache_file()
+    lines = path.read_text().splitlines()
+    dropped = [lines[3], lines[10], lines[-1]]
+    kept = [line for line in lines if line not in dropped]
+    path.write_text("".join(line + "\n" for line in kept))
+    harness._CACHE._loaded_from = None
+    rows = []
+    real = eichler_selberg.d_coefficients
+    monkeypatch.setattr(eichler_selberg, "d_coefficients",
+                        lambda n, N: rows.append((n, N)) or real(n, N))
+    warm = run_experiment("arith-sum", cfg)
+    assert rows == [(105, 2)]
+    assert path.read_text().splitlines() == kept + dropped
+    assert [r.outputs for r in warm] == [r.outputs for r in cold]
+    rows.clear()
+    run_experiment("arith-sum", cfg)
+    assert rows == []  # a full memo computes no row
 
 
 def test_cli_main(tmp_path, capsys):

@@ -9,6 +9,7 @@ from scipy.special import airy as scipy_airy
 from scipy.special import jv as scipy_jv
 
 from hecke_spectra.special_functions import (
+    PSI_NORMALIZATION,
     airy_ai,
     bessel_j,
     bessel_transition_approx,
@@ -117,6 +118,14 @@ def test_psi_bump():
     xs = np.linspace(-1, 1, 20001)
     integral = trapezoid([psi_eval(float(t)) for t in xs], xs)
     assert abs(integral - 1.0) < 1e-6
+
+
+def test_psi_normalization_constant():
+    import mpmath as mp
+
+    with mp.workdps(30):
+        integral = mp.quad(lambda t: mp.exp(-1 / (1 - t * t)), [-1, 1])
+        assert float(1 / integral) == PSI_NORMALIZATION
 
 
 @given(st.floats(min_value=-1e5, max_value=1e5, allow_nan=False))
