@@ -1,5 +1,10 @@
 """Experiment front end: flat key=value configs, JSONL record emission, a
-checksummed persistent memo cache, and the `verify` self-check.
+persistent memo of D_N(t, n) rows, and the `verify` self-check.
+
+The memo (`memo.jsonl` under `$HECKE_SPECTRA_CACHE`) holds one checksummed
+line per (n, N): the row of `eichler_selberg.d_coefficients(n, N)`.  A line
+that fails to parse or to check cuts the file back to the lines before it,
+so a memo written in an older line format is discarded once, on first read.
 
 Sweep cells run one after another in cell order; a Petersson sweep walks c
 once for all of its cells.
@@ -16,10 +21,9 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, TextIO, Tuple
 
 from . import __version__
 
@@ -70,17 +74,6 @@ def _provenance(truncation: Dict[str, object]) -> Dict[str, object]:
 # persistent cache: append-only JSONL log, one sha256 per line
 
 
-@dataclass(frozen=True)
-class CacheEntry:
-    key: Tuple[str, str]
-    value: Union[Fraction, float]
-    error_bound: Optional[float] = None
-
-    @property
-    def is_exact(self) -> bool:
-        return isinstance(self.value, Fraction)
-
-
 def cache_dir() -> Path:
     env = os.environ.get(CACHE_ENV)
     # the home default is built only when needed: Path.home() raises where
@@ -92,31 +85,15 @@ def _cache_file() -> Path:
     return cache_dir() / "memo.jsonl"
 
 
-def _entry_payload(e: CacheEntry) -> dict:
-    d: dict = {"key": list(e.key)}
-    if e.is_exact:
-        d["rational"] = str(e.value)
-    else:
-        d["float"] = e.value
-        d["error_bound"] = e.error_bound
-    return d
-
-
-def _entry_from_payload(d: dict) -> CacheEntry:
-    key = (d["key"][0], d["key"][1])
-    if "rational" in d:
-        return CacheEntry(key, Fraction(d["rational"]))
-    return CacheEntry(key, float(d["float"]), d.get("error_bound"))
-
-
 def _line_checksum(payload: dict) -> str:
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()[:16]
 
 
 class _Cache:
-    """In-memory map backed by an append-only checksummed log.  A corrupt
-    line invalidates the tail: the valid prefix is rewritten and computation
-    repopulates the rest (never silently trusted).
+    """In-memory map from a key to one row of floats, backed by an
+    append-only log of one checksummed line per key.  A line that does not
+    parse or check invalidates the tail: the valid prefix is rewritten and
+    computation repopulates the rest (never silently trusted).
 
     The location is resolved again only when `$HECKE_SPECTRA_CACHE` changes
     or `_loaded_from` is reset to None.  Puts append through one O_APPEND
@@ -125,7 +102,7 @@ class _Cache:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._map: Dict[Tuple[str, str], CacheEntry] = {}
+        self._map: Dict[Tuple[str, str], Tuple[float, ...]] = {}
         self._loaded_from: Optional[Path] = None
         self._env: Optional[str] = None
         self._fh: Optional[TextIO] = None
@@ -149,11 +126,12 @@ class _Cache:
                 sha = d.pop("sha")
                 if sha != _line_checksum(d):
                     raise ValueError("checksum mismatch")
-                e = _entry_from_payload(d)
+                key = (d["key"][0], d["key"][1])
+                row = tuple(map(float, d["row"]))
             except (ValueError, KeyError, IndexError, TypeError):
                 dirty = True
                 break
-            self._map[e.key] = e
+            self._map[key] = row
             good.append(line)
         if dirty:
             path.write_text("".join(g + "\n" for g in good))
@@ -168,18 +146,18 @@ class _Cache:
         with self._lock:
             self._close()
 
-    def get(self, key: Tuple[str, str]) -> Optional[CacheEntry]:
+    def get(self, key: Tuple[str, str]) -> Optional[Tuple[float, ...]]:
         with self._lock:
             self._load()
             return self._map.get(key)
 
-    def put(self, entry: CacheEntry) -> None:
+    def put(self, key: Tuple[str, str], row: Sequence[float]) -> None:
         with self._lock:
             self._load()
-            if entry.key in self._map:
+            if key in self._map:
                 return
-            self._map[entry.key] = entry
-            payload = _entry_payload(entry)
+            self._map[key] = tuple(row)
+            payload = {"key": list(key), "row": list(row)}
             payload["sha"] = _line_checksum(payload)
             if self._fh is None:
                 self._loaded_from.parent.mkdir(parents=True, exist_ok=True)
@@ -191,33 +169,28 @@ class _Cache:
 _CACHE = _Cache()
 
 
-def cache_get(key: Tuple[str, str]) -> Optional[CacheEntry]:
+def cache_get(key: Tuple[str, str]) -> Optional[Tuple[float, ...]]:
     return _CACHE.get(key)
 
 
-def cache_put(entry: CacheEntry) -> None:
-    _CACHE.put(entry)
+def cache_put(key: Tuple[str, str], row: Sequence[float]) -> None:
+    _CACHE.put(key, row)
 
 
-def _memo_d_row(n: int, N: int, table_limit: int) -> List[float]:
-    """D_N(t, n) for t = -tmax..tmax, tmax = isqrt(4n - 1), one memo key
-    ("d_coefficient", "t,n,N") per t.  On any miss the class-number table is
-    grown to table_limit (a sweep's largest 4n, so a sweep builds it once),
-    the row `d_coefficients(n, N)` is computed once, and only the missing
-    keys are put, in increasing t."""
+def _memo_d_row(n: int, N: int, table_limit: int) -> Sequence[float]:
+    """D_N(t, n) for t = -tmax..tmax, tmax = isqrt(4n - 1), memoized as one
+    row under ("d_coefficients", "n,N").  On a miss the class-number table
+    is grown to table_limit (a sweep's largest 4n, so a sweep builds it
+    once) and the row `d_coefficients(n, N)` is computed and put."""
     from .class_numbers import ensure_table
     from .eichler_selberg import d_coefficients
 
-    tmax = math.isqrt(4 * n - 1)
-    keys = [("d_coefficient", f"{t},{n},{N}") for t in range(-tmax, tmax + 1)]
-    hits = [cache_get(key) for key in keys]
-    if all(hit is not None and not hit.is_exact for hit in hits):
-        return [float(hit.value) for hit in hits]
-    ensure_table(table_limit)
-    row = d_coefficients(n, N).tolist()
-    for key, hit, d in zip(keys, hits, row):
-        if hit is None:
-            cache_put(CacheEntry(key, d, 0.0))
+    key = ("d_coefficients", f"{n},{N}")
+    row = cache_get(key)
+    if row is None:
+        ensure_table(table_limit)
+        row = d_coefficients(n, N).tolist()
+        cache_put(key, row)
     return row
 
 

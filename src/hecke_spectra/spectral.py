@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
 
-import mpmath as mp
 import numpy as np
 
 from .arithmetic import factor
@@ -125,6 +124,8 @@ def _power_sums_from_chebyshev(c: Sequence[float]) -> list:
     U_n(x/2) = sum_{r <= n} e^{i(n-2r)t}, so these coefficients add up to the
     binomial ones of (e^{it} + e^{-it})^j.  The integer coefficients are exact
     in mpf; terms are summed in increasing m."""
+    import mpmath as mp
+
     sums = []
     for j in range(len(c)):
         sums.append(mp.fsum(
@@ -134,8 +135,10 @@ def _power_sums_from_chebyshev(c: Sequence[float]) -> list:
     return sums
 
 
+# mpmath is imported inside the Newton route alone, so the measures and the
+# Hecke-matrix route start without it
 _NEWTON_DPS = 40
-_COEFF_THRESHOLD = mp.mpf(10) ** 8
+_COEFF_THRESHOLD = 10 ** 8
 
 
 class RecoveryRangeError(ValueError):
@@ -193,6 +196,8 @@ def _newton_roots(k: int, N: int, p: int, d: int) -> list:
     """The eigenvalues of T_p / p^{(k-1)/2} on S_k(N)*, dim d, as the complex
     roots of the polynomial whose power sums are the normalized traces at
     1, p, ..., p^d (Newton's identities at _NEWTON_DPS digits)."""
+    import mpmath as mp
+
     from .eichler_selberg import trace_new
 
     c = [trace_new(p ** m, k, N).total for m in range(d + 1)]

@@ -195,6 +195,18 @@ def test_package_and_petersson_walk_load_no_scipy():
     ) == "[]"
 
 
+def test_hecke_matrix_route_loads_no_mpmath():
+    # only the Newton route (N > 1, or dimension 1) needs mpmath
+    assert _modules_after(
+        "import importlib, pkgutil, hecke_spectra\n"
+        "for mod in pkgutil.iter_modules(hecke_spectra.__path__):\n"
+        "    importlib.import_module('hecke_spectra.' + mod.name)\n"
+        "from hecke_spectra.spectral import empirical_mu_star\n"
+        "empirical_mu_star(24, 1, 2)\n",
+        ("mpmath",),
+    ) == "[]"
+
+
 def brute_count_A(N, n, n0):
     total = 0
     m = math.isqrt(4 * n)

@@ -1,13 +1,15 @@
 import json
 import math
-from fractions import Fraction
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from hecke_spectra import class_numbers, eichler_selberg, harness
 from hecke_spectra.harness import (
-    CacheEntry,
     ConfigError,
     ExperimentRecord,
     cache_get,
@@ -45,38 +47,59 @@ def test_parse_config():
         parse_config("this is not a key value line\n")
 
 
-def test_cache_roundtrip_exact():
-    e = CacheEntry(("hurwitz_H", "23"), Fraction(3))
-    cache_put(e)
-    got = cache_get(("hurwitz_H", "23"))
-    assert got is not None and got.value == Fraction(3) and got.is_exact
-
-
 def test_cache_roundtrip_float():
-    e = CacheEntry(("bessel_j", "12,3.5"), 0.123456789, 1e-14)
-    cache_put(e)
-    got = cache_get(("bessel_j", "12,3.5"))
-    assert got.value == 0.123456789  # bit-identical through the JSON log
-    assert got.error_bound == 1e-14
+    row = [0.123456789, -1e-300, 2.0 ** 0.5]
+    cache_put(("d_coefficients", "105,2"), row)
+    got = cache_get(("d_coefficients", "105,2"))
+    assert [v.hex() for v in got] == [v.hex() for v in row]  # bit-identical through the log
 
 
 def test_cache_survives_reload():
-    cache_put(CacheEntry(("f", "1"), 2.5, 0.0))
+    cache_put(("f", "1"), [2.5, -1.0])
     harness._CACHE._loaded_from = None  # simulate a fresh process
-    assert cache_get(("f", "1")).value == 2.5
+    assert cache_get(("f", "1")) == (2.5, -1.0)
 
 
 def test_corrupt_cache_detected_and_rebuilt():
     for i in range(5):
-        cache_put(CacheEntry(("f", str(i)), float(i), 0.0))
+        cache_put(("f", str(i)), [float(i)] * 3)
     path = harness._cache_file()
     lines = path.read_text().splitlines()
     lines[2] = lines[2][:-10] + "0000000000"  # clobber a checksum
     path.write_text("".join(l + "\n" for l in lines))
     harness._CACHE._loaded_from = None
-    assert cache_get(("f", "1")).value == 1.0  # prefix survives
+    assert cache_get(("f", "1")) == (1.0,) * 3  # prefix survives
     assert cache_get(("f", "3")) is None  # tail discarded
     assert len(path.read_text().splitlines()) == 2
+
+
+def _count_rows(monkeypatch):
+    rows = []
+    real = eichler_selberg.d_coefficients
+    monkeypatch.setattr(eichler_selberg, "d_coefficients",
+                        lambda n, N: rows.append((n, N)) or real(n, N))
+    return rows
+
+
+def _per_t_line(t, n, N, d):
+    # a line of the earlier memo format: one float per (t, n, N), correctly checksummed
+    payload = {"error_bound": 0.0, "float": d, "key": ["d_coefficient", f"{t},{n},{N}"]}
+    payload["sha"] = harness._line_checksum(payload)
+    return json.dumps(payload, sort_keys=True)
+
+
+def test_old_per_t_memo_is_cut_back_not_read(monkeypatch):
+    cfg = {"n": "105", "N": "2"}
+    row = eichler_selberg.d_coefficients(105, 2).tolist()
+    path = harness._cache_file()
+    path.parent.mkdir(parents=True)
+    path.write_text("".join(_per_t_line(t, 105, 2, d) + "\n" for t, d in zip(range(-20, 21), row)))
+    rows = _count_rows(monkeypatch)
+    recs = run_experiment("arith-sum", cfg)
+    assert rows == [(105, 2)]  # the per-t lines were not read as a row
+    lines = path.read_text().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["key"] == ["d_coefficients", "105,2"]
+    assert recs[0].outputs["d_square_sum"] == math.fsum(d * d for d in row)
 
 
 def test_cache_needs_no_home_when_location_is_set(monkeypatch):
@@ -84,52 +107,92 @@ def test_cache_needs_no_home_when_location_is_set(monkeypatch):
         raise RuntimeError("Could not determine home directory.")
 
     monkeypatch.setattr(Path, "home", no_home)
-    cache_put(CacheEntry(("f", "1"), 2.5, 0.0))
-    assert cache_get(("f", "1")).value == 2.5
+    cache_put(("f", "1"), [2.5])
+    assert cache_get(("f", "1")) == (2.5,)
 
 
 def test_cache_follows_a_location_switch(tmp_path, monkeypatch):
-    cache_put(CacheEntry(("f", "a"), 1.0, 0.0))
+    cache_put(("f", "a"), [1.0])
     old = harness._cache_file()
     old_bytes = old.read_bytes()
     monkeypatch.setenv(harness.CACHE_ENV, str(tmp_path / "other"))
     assert cache_get(("f", "a")) is None
-    cache_put(CacheEntry(("f", "b"), 2.0, 0.0))
+    cache_put(("f", "b"), [2.0])
     assert old.read_bytes() == old_bytes
     assert '"b"' in (tmp_path / "other" / "memo.jsonl").read_text()
     monkeypatch.setenv(harness.CACHE_ENV, str(old.parent))
-    assert cache_get(("f", "a")).value == 1.0
+    assert cache_get(("f", "a")) == (1.0,)
     assert cache_get(("f", "b")) is None
 
 
 def test_cache_line_is_readable_when_put_returns():
-    cache_put(CacheEntry(("f", "1"), 2.5, 0.0))
+    cache_put(("f", "1"), [2.5])
     with harness._cache_file().open() as fh:
         assert '"1"' in fh.read()
+
+
+def _lines_pass_their_checksum(path):
+    lines = path.read_text().splitlines()
+    for line in lines:
+        d = json.loads(line)
+        assert d.pop("sha") == harness._line_checksum(d)
+    return lines
 
 
 def test_cache_writers_taking_turns_share_one_file():
     a, b = harness._Cache(), harness._Cache()
     try:
         for i in range(20):
-            (a if i % 2 else b).put(CacheEntry(("f", str(i)), float(i), 0.0))
+            (a if i % 2 else b).put(("f", str(i)), [float(i), -float(i)])
     finally:
         a.close()
         b.close()
-    lines = harness._cache_file().read_text().splitlines()
-    assert len(lines) == 20
-    for line in lines:
-        d = json.loads(line)
-        assert d.pop("sha") == harness._line_checksum(d)
+    assert len(_lines_pass_their_checksum(harness._cache_file())) == 20
     for i in range(20):
-        assert cache_get(("f", str(i))).value == float(i)
+        assert cache_get(("f", str(i))) == (float(i), -float(i))
+
+
+_WRITER = """
+import os, sys, time
+from hecke_spectra import harness
+go, tag, count = sys.argv[1], sys.argv[2], int(sys.argv[3])
+harness.cache_get(("d_coefficients", "0,0"))  # read the (empty) memo before either appends
+open(go + "." + tag, "w").close()  # ready
+while not os.path.exists(go):
+    time.sleep(0.001)
+for i in range(count):
+    # 4,095 floats: the longest row arith-sum admits (4n <= 2^22, tmax = 2047)
+    harness.cache_put(("d_coefficients", f"{tag},{i}"), [-(i + j + 1) / 7e3 for j in range(4095)])
+harness._CACHE.close()
+"""
+
+
+def test_two_processes_appending_long_rows_tear_no_line(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    go = tmp_path / "go"
+    count = 20
+    procs = [subprocess.Popen([sys.executable, "-c", _WRITER, str(go), tag, str(count)], env=env)
+             for tag in ("a", "b")]
+    deadline = time.monotonic() + 60
+    while not all((tmp_path / f"go.{tag}").exists() for tag in ("a", "b")):
+        assert time.monotonic() < deadline and all(p.poll() is None for p in procs)
+        time.sleep(0.005)
+    go.touch()  # both writers start appending together
+    assert [p.wait(timeout=120) for p in procs] == [0, 0]
+    lines = _lines_pass_their_checksum(harness._cache_file())
+    assert len(lines) == 2 * count
+    assert len(lines[0]) > 65_536
+    for tag in ("a", "b"):
+        assert cache_get(("d_coefficients", f"{tag},{count - 1}"))[-1] == -(count + 4094) / 7e3
 
 
 def test_cache_line_format_is_stable():
-    cache_put(CacheEntry(("d_coefficient", "-7,1001,6"), -0.1234567890123456789, 0.0))
+    cache_put(("d_coefficients", "1001,6"), [-0.1234567890123456789, 0.0, 2.5])
     assert harness._cache_file().read_text() == (
-        '{"error_bound": 0.0, "float": -0.12345678901234568, '
-        '"key": ["d_coefficient", "-7,1001,6"], "sha": "ec907b7f2e9c82e7"}\n'
+        '{"key": ["d_coefficients", "1001,6"], "row": [-0.12345678901234568, 0.0, 2.5], '
+        '"sha": "ce36014d8b154659"}\n'
     )
 
 
@@ -187,37 +250,51 @@ def test_cold_vs_warm_identical():
 
 
 def test_cold_memo_lines_follow_the_per_t_route():
-    # one line per t in increasing t, each value from the per-(t, f) route
-    run_experiment("arith-sum", {"n": "105", "N": "2"})
-    want = []
-    for t in range(-20, 21):
-        d = float(eichler_selberg._hw_sum(t, 105, 2, True)) / (2.0 * math.sqrt(420 - t * t))
-        payload = harness._entry_payload(CacheEntry(("d_coefficient", f"{t},105,2"), d, 0.0))
-        payload["sha"] = harness._line_checksum(payload)
-        want.append(json.dumps(payload, sort_keys=True))
-    assert harness._cache_file().read_text().splitlines() == want
+    # one row line per (n, N) in cell order, each value d_coefficients(n, N)
+    # bit for bit and equal to the per-(t, f) route; 1001 is an arith-memo n
+    run_experiment("arith-sum", {"n": "105,1001", "N": "2,6"})
+    lines = [json.loads(line) for line in harness._cache_file().read_text().splitlines()]
+    cells = [(105, 2), (1001, 2), (1001, 6)]  # gcd(105, 6) > 1
+    assert [d["key"] for d in lines] == [["d_coefficients", f"{n},{N}"] for n, N in cells]
+    for d, (n, N) in zip(lines, cells):
+        tmax = math.isqrt(4 * n - 1)
+        row = [v.hex() for v in d["row"]]
+        assert row == [v.hex() for v in eichler_selberg.d_coefficients(n, N).tolist()]
+        per_t = [float(eichler_selberg._hw_sum(t, n, N, True)) / (2.0 * math.sqrt(4 * n - t * t))
+                 for t in range(-tmax, tmax + 1)]
+        assert row == [v.hex() for v in per_t]
 
 
 def test_memo_with_missing_keys_recomputes_the_row_once(monkeypatch):
-    cfg = {"n": "105", "N": "2"}
+    cfg = {"n": "101,105", "N": "2"}
     cold = run_experiment("arith-sum", cfg)
     path = harness._cache_file()
     lines = path.read_text().splitlines()
-    dropped = [lines[3], lines[10], lines[-1]]
-    kept = [line for line in lines if line not in dropped]
-    path.write_text("".join(line + "\n" for line in kept))
+    assert len(lines) == 2
+    path.write_text(lines[1] + "\n")  # drop the (101, 2) row
     harness._CACHE._loaded_from = None
-    rows = []
-    real = eichler_selberg.d_coefficients
-    monkeypatch.setattr(eichler_selberg, "d_coefficients",
-                        lambda n, N: rows.append((n, N)) or real(n, N))
+    rows = _count_rows(monkeypatch)
     warm = run_experiment("arith-sum", cfg)
-    assert rows == [(105, 2)]
-    assert path.read_text().splitlines() == kept + dropped
+    assert rows == [(101, 2)]
+    assert path.read_text().splitlines() == [lines[1], lines[0]]
     assert [r.outputs for r in warm] == [r.outputs for r in cold]
-    rows.clear()
-    run_experiment("arith-sum", cfg)
-    assert rows == []  # a full memo computes no row
+
+
+def test_warm_pass_computes_no_row_and_builds_no_table(monkeypatch):
+    cfg = {"n": "101,105,1001", "N": "2,6"}
+    cold = run_experiment("arith-sum", cfg)
+    memo = harness._cache_file().read_bytes()
+    harness._CACHE._loaded_from = None  # a fresh process
+    monkeypatch.setattr(class_numbers, "_h_table", None)
+    builds = []
+    real_build = class_numbers.build_form_table
+    monkeypatch.setattr(class_numbers, "build_form_table",
+                        lambda limit: builds.append(limit) or real_build(limit))
+    rows = _count_rows(monkeypatch)
+    warm = run_experiment("arith-sum", cfg)
+    assert rows == [] and builds == [] and class_numbers._h_table is None
+    assert harness._cache_file().read_bytes() == memo
+    assert [r.outputs for r in warm] == [r.outputs for r in cold]
 
 
 def test_cli_main(tmp_path, capsys):
