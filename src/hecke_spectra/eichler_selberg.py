@@ -8,8 +8,11 @@ correction) are carried as exact Fraction coefficients of n^{-1/2}.
 
 The elliptic-term coefficients D_N(t, n) of the variance and arith-sum
 experiments come from one integer row per (n, N), `d_coefficients`, read
-from the class-number table; the per-(t, f) `Fraction` sum `_hw_sum`, which
-the trace's elliptic term still runs on, is its reference route in the tests.
+from the class-number table; so does the no-weight window average
+`averaged_trace_window`, whose elliptic terms for every k are one product
+with that row.  The per-(t, f) `Fraction` sum `_hw_sum`, which `trace_new`
+and `trace_full`'s elliptic term still run on, is its reference route in the
+tests.
 
 The newform trace is computed once, from its own closed-form terms.  The
 Mobius/divisor-count combination of full-level traces is an independent
@@ -181,6 +184,14 @@ def d_coefficients(n: int, N: int) -> np.ndarray:
     return row
 
 
+def _angles(n: int) -> np.ndarray:
+    """theta_t = arg(t + i sqrt(4n - t^2)) for t = -tmax..tmax, the angles
+    that go with the row d_coefficients(n, N)."""
+    tmax = math.isqrt(4 * n - 1)
+    ts = np.arange(-tmax, tmax + 1, dtype=float)
+    return np.arctan2(np.sqrt(4.0 * n - ts ** 2), ts)
+
+
 def d_coefficient(t: int, n: int, N: int) -> float:
     """Magnitude of the elliptic-term coefficient D_N(t,n); even in t.
     (The signed convention that flips under t -> -t also carries a factor i;
@@ -270,17 +281,22 @@ def trace_full(n: int, k: int, N: int) -> TraceBreakdown:
     return _assemble(n, k, N, "full", c1, t2, c3, c4)
 
 
+def _assemble_new(n: int, k: int, N: int, t2: float) -> TraceBreakdown:
+    """trace_new(n, k, N) around a given elliptic term t2: the exact
+    identity, hyperbolic and weight-2 terms of the newform space."""
+    c1 = Fraction(k - 1, 12) * euler_phi(N) if _is_square(n) else Fraction(0)
+    c3 = _hyperbolic_coeff(n, k, 1) if N == 1 else Fraction(0)
+    c4 = Fraction(mobius(N) * sigma(1, n)) if k == 2 else Fraction(0)
+    return _assemble(n, k, N, "new", c1, t2, c3, c4)
+
+
 def trace_new(n: int, k: int, N: int) -> TraceBreakdown:
     """Normalized trace of T_n on the newform subspace of S_k(N), N squarefree,
     from the closed-form newform terms.  `newform_cross_route` evaluates the
     same terms independently through full-level traces; the tests and the
     `verify` experiment compare the two."""
     check_trace_cell("new", n, k, N)
-    c1 = Fraction(k - 1, 12) * euler_phi(N) if _is_square(n) else Fraction(0)
-    t2 = _elliptic_term(n, k, N, tilde=True)
-    c3 = _hyperbolic_coeff(n, k, 1) if N == 1 else Fraction(0)
-    c4 = Fraction(mobius(N) * sigma(1, n)) if k == 2 else Fraction(0)
-    return _assemble(n, k, N, "new", c1, t2, c3, c4)
+    return _assemble_new(n, k, N, _elliptic_term(n, k, N, tilde=True))
 
 
 def newform_cross_route(n: int, k: int, N: int) -> Tuple[Fraction, float, Fraction, Fraction]:
@@ -311,20 +327,28 @@ def check_noweight_cell(n: int, N: int, delta: float) -> None:
 
 
 def averaged_trace_window(n: int, N: int, spec: WindowSpec) -> float:
-    """(1/K^delta) sum over even k of psi((k-K)/K^delta) (-1)^{k/2} trace_new."""
+    """(1/K^delta) sum over even k of psi((k-K)/K^delta) (-1)^{k/2} trace_new.
+
+    The row d_coefficients(n, N) is read once, and the elliptic terms of
+    every weight in the window come from one (k x t) product,
+    t2_k = -2 sum_t sin((k-1) theta_t) D_N(t, n), the sum trace_new's
+    _elliptic_term takes per (t, f).  The rational terms stay exact and per
+    k (_assemble_new).  The result moves from the per-k trace_new sum by
+    rounding only; the tests hold the two to 1e-12 relative."""
+    check_trace_cell("new", n, 2, N)
     K, delta = spec.K, spec.delta
     if abs(K - 4.0 * math.pi * math.sqrt(n)) > n ** (1.0 / 6.0):
         raise ValueError("averaged_trace_window: K must be within n^(1/6) of 4 pi sqrt(n)")
     h = K ** delta
     lo = 2 * math.ceil((K - h) / 2)
     hi = 2 * math.floor((K + h) / 2)
+    window = [(k, w) for k in range(lo, hi + 2, 2) if (w := psi_eval((k - K) / h)) != 0.0]
+    j = np.array([k - 1.0 for k, _ in window])
+    t2 = -2.0 * (np.sin(np.outer(j, _angles(n))) @ d_coefficients(n, N))
     terms = []
-    for k in range(lo, hi + 2, 2):
-        w = psi_eval((k - K) / h)
-        if w == 0.0:
-            continue
+    for (k, w), t2_k in zip(window, t2.tolist()):
         sign = -1.0 if (k // 2) % 2 else 1.0
-        terms.append(w * sign * trace_new(n, k, N).total)
+        terms.append(w * sign * _assemble_new(n, k, N, t2_k).total)
     return math.fsum(terms) / h
 
 
@@ -382,10 +406,7 @@ def check_variance_cell(n: int, N: int, T: float) -> None:
 def _variance_inputs(n: int, N: int, T: float):
     check_variance_cell(n, N, T)
     tmax = math.isqrt(4 * n - 1)
-    ts = np.arange(-tmax, tmax + 1)
-    y = d_coefficients(n, N)
-    theta = np.arctan2(np.sqrt(4.0 * n - ts.astype(float) ** 2), ts.astype(float))
-    return ts, y, theta
+    return np.arange(-tmax, tmax + 1), d_coefficients(n, N), _angles(n)
 
 
 # largest array variance_window builds, in elements (8 MiB of float64)

@@ -146,8 +146,10 @@ class RecoveryRangeError(ValueError):
     recover from traces."""
 
 
+@lru_cache(maxsize=256)
 def _newform_dim(k: int, N: int) -> int:
-    """dim S_k(N)*, the trace of T_1 on it."""
+    """dim S_k(N)*, the trace of T_1 on it; kept per (k, N), since each
+    discrepancy cell asks for it three times and p = 2, 3 share (k, N)."""
     from .eichler_selberg import trace_new
 
     return round(trace_new(1, k, N).total)

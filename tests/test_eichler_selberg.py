@@ -264,6 +264,39 @@ def test_averaged_window_requires_matched_K():
         averaged_trace_window(100, 1, WindowSpec(50.0, 0.25, 1.0, 5.0))
 
 
+def _window_spec(n: int) -> WindowSpec:
+    K = int(4.0 * math.pi * math.sqrt(n))
+    return WindowSpec(float(K), 0.25, 1.0, K ** 0.25)
+
+
+def test_averaged_window_matches_per_k_traces():
+    # the batched window against its definition, one trace_new call per weight
+    from hecke_spectra.special_functions import psi_eval
+
+    for (n, N) in [(2280, 1), (2281, 2), (9121, 6)]:
+        spec = _window_spec(n)
+        h = spec.K ** spec.delta
+        terms = []
+        for k in range(2 * math.ceil((spec.K - h) / 2), 2 * math.floor((spec.K + h) / 2) + 2, 2):
+            sign = -1.0 if (k // 2) % 2 else 1.0
+            terms.append(psi_eval((k - spec.K) / h) * sign * trace_new(n, k, N).total)
+        expected = math.fsum(terms) / h
+        got = averaged_trace_window(n, N, spec)
+        assert abs(got - expected) <= 1e-12 * abs(expected), (n, N, got, expected)
+
+
+def test_averaged_window_reads_the_row_not_the_per_k_traces(monkeypatch):
+    import hecke_spectra.eichler_selberg as es
+
+    calls = []
+    monkeypatch.setattr(es, "_hw_sum", lambda *a: calls.append(("_hw_sum", a)))
+    monkeypatch.setattr(es, "trace_new", lambda *a: calls.append(("trace_new", a)))
+    averaged_trace_window(2289, 5, _window_spec(2289))
+    assert calls == []
+    with pytest.raises(ValueError):
+        averaged_trace_window(2280, 4, _window_spec(2280))  # N not squarefree
+
+
 def test_noweight_main_term_sign():
     # mu(N) flips the sign of the main term
     n = 2280
