@@ -6,8 +6,12 @@ line per (n, N): the row of `eichler_selberg.d_coefficients(n, N)`.  A line
 that fails to parse or to check cuts the file back to the lines before it,
 so a memo written in an older line format is discarded once, on first read.
 
-Sweep cells run one after another in cell order; a Petersson sweep walks c
-once for all of its cells.
+`run_experiment` validates a sweep's cells, runs them one after another in
+cell order and hands each record to an optional `emit` callback as soon as
+it is built; `main` prints each one as a flushed JSON line, so records
+stream as their cells finish.  A Petersson or `maint` sweep walks c once for
+all of its cells, so its records follow that shared walk.  `--out` and
+`--csv` are written from the returned records after the sweep.
 """
 
 from __future__ import annotations
@@ -250,16 +254,7 @@ def _float_scalar(cfg: Dict[str, str], key: str, default: Optional[str] = None) 
 
 
 # ---------------------------------------------------------------------------
-# sweep execution: one record per cell, in cell order
-
-
-def _run_cells(cells: Sequence[dict], work: Callable[[dict], Tuple[dict, dict]],
-               experiment: str) -> List[ExperimentRecord]:
-    def one(cell):
-        outputs, truncation = work(cell)
-        return ExperimentRecord(experiment, cell, outputs, _provenance(truncation))
-
-    return [one(c) for c in cells]
+# sweep validation: every cell is checked before the first one runs
 
 
 def _validate(experiment: str, cells: Sequence[dict], check: Callable[[dict], None]) -> None:
@@ -309,7 +304,7 @@ def _exp_trace(cfg):
         }
         return outputs, {"mode": "exact identity, no truncation"}
 
-    return _run_cells(cells, work, "trace")
+    return cells, work
 
 
 def _exp_petersson(cfg):
@@ -340,7 +335,7 @@ def _exp_petersson(cfg):
             {"c_max": r.c_max, "l_max": r.l_max, "tail_bound": r.truncation_bound},
         )
 
-    return _run_cells(cells, work, "petersson")
+    return cells, work
 
 
 def _exp_maint(cfg):
@@ -370,7 +365,7 @@ def _exp_maint(cfg):
             {"c_max": r.c_max, "l_max": r.l_max, "tail_bound": r.truncation_bound},
         )
 
-    return _run_cells(cells, work, "maint")
+    return cells, work
 
 
 def _exp_bessel_sum(cfg):
@@ -385,7 +380,7 @@ def _exp_bessel_sum(cfg):
         s = weighted_bessel_order_sum(cell["K"], cell["delta"], cell["x"])
         return {"sum": s}, {"order_window": [K - K ** delta, K + K ** delta]}
 
-    return _run_cells(cells, work, "bessel-sum")
+    return cells, work
 
 
 def _exp_noweight(cfg):
@@ -413,7 +408,7 @@ def _exp_noweight(cfg):
             {"weight_window_halfwidth": K ** cell["delta"]},
         )
 
-    return _run_cells(cells, work, "noweight")
+    return cells, work
 
 
 def _exp_variance(cfg):
@@ -438,7 +433,7 @@ def _exp_variance(cfg):
             {"phi_tail_target": 1e-8},
         )
 
-    return _run_cells(cells, work, "variance")
+    return cells, work
 
 
 def _exp_arith_sum(cfg):
@@ -466,7 +461,7 @@ def _exp_arith_sum(cfg):
         outputs["a_count_ratio"] = count_A(N, n, n0) / n if n0 is not None else None
         return outputs, {"t_range": [-tmax, tmax]}
 
-    return _run_cells(cells, work, "arith-sum")
+    return cells, work
 
 
 def _exp_discrepancy(cfg):
@@ -496,7 +491,7 @@ def _exp_discrepancy(cfg):
         }
         return outputs, recovery_route(N, len(mu.atoms))
 
-    return _run_cells(cells, work, "discrepancy")
+    return cells, work
 
 
 def _exp_orbital(cfg):
@@ -518,7 +513,7 @@ def _exp_orbital(cfg):
             {"refinement_tolerance": 1e-7},
         )
 
-    return _run_cells(cells, work, "orbital")
+    return cells, work
 
 
 # ---------------------------------------------------------------------------
@@ -610,15 +605,14 @@ def _verify_checks() -> List[Tuple[str, dict, float, float]]:
 def _exp_verify(cfg):
     scope = cfg.get("scope", "quick")
     if scope == "full":
-        import pytest
+        def run_suite(cell):
+            import pytest
 
-        tests = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
-        code = pytest.main(["-q", str(tests)])
-        rec = ExperimentRecord(
-            "verify", {"scope": "full"}, {"pytest_exit_code": int(code)},
-            _provenance({"mode": "acceptance suite"}),
-        )
-        return [rec]
+            tests = Path(__file__).resolve().parents[2] / "tests" / "test_acceptance.py"
+            code = pytest.main(["-q", str(tests)])
+            return {"pytest_exit_code": int(code)}, {"mode": "acceptance suite"}
+
+        return [{"scope": "full"}], run_suite
     if scope != "quick":
         raise ConfigError("verify: scope must be 'quick' or 'full'")
 
@@ -632,10 +626,12 @@ def _exp_verify(cfg):
         )
 
     cells = [{"check": name} for name in checks]
-    return _run_cells(cells, work, "verify")
+    return cells, work
 
 
-# each driver with the config keys it reads; the CLI keys are allowed everywhere
+# each driver with the config keys it reads; the CLI keys are allowed
+# everywhere.  A driver returns its validated cells and the work that maps one
+# cell to (outputs, truncation); run_experiment runs the cells.
 _DRIVERS = {
     "trace": (_exp_trace, {"kind", "N", "k", "n"}),
     "petersson": (_exp_petersson, {"kind", "N", "k", "m", "n"}),
@@ -652,9 +648,16 @@ EXPERIMENTS = tuple(_DRIVERS)
 _CLI_KEYS = {"experiment", "out", "csv", "threads"}
 
 
-def run_experiment(name: str, config: Dict[str, str], threads: int = 1) -> List[ExperimentRecord]:
-    """Run one experiment sweep.  `threads` is accepted for compatibility and
-    has no effect: cells run sequentially."""
+def run_experiment(name: str, config: Dict[str, str], threads: int = 1,
+                   emit: Optional[Callable[[ExperimentRecord], None]] = None
+                   ) -> List[ExperimentRecord]:
+    """Run one experiment sweep and return its records in cell order.
+
+    The driver validates every cell (a bad one raises ConfigError before any
+    cell runs) and does the sweep's shared work, such as a Petersson c-walk;
+    then the cells run one after another, and each record is handed to
+    `emit`, when given, as soon as it is built.  `threads` is accepted for
+    compatibility and has no effect."""
     if name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
     driver, keys = _DRIVERS[name]
@@ -662,7 +665,15 @@ def run_experiment(name: str, config: Dict[str, str], threads: int = 1) -> List[
     if unknown:
         raise ConfigError(f"{name}: unknown config key(s) {unknown}; it reads {sorted(keys)}")
     try:
-        return driver(config)
+        cells, work = driver(config)
+        records = []
+        for cell in cells:
+            outputs, truncation = work(cell)
+            record = ExperimentRecord(name, cell, outputs, _provenance(truncation))
+            records.append(record)
+            if emit is not None:
+                emit(record)
+        return records
     finally:
         _CACHE.close()
 
@@ -704,6 +715,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     ap.add_argument("--threads", type=int, default=1, help="accepted; has no effect")
     args = ap.parse_args(argv)
 
+    lines: List[str] = []
+
+    def emit(record: ExperimentRecord) -> None:
+        # one flushed line per finished cell, so a pipe or a file sees it at once
+        lines.append(record.to_json_line())
+        print(lines[-1], flush=True)
+
     try:
         cfg: Dict[str, str] = {}
         if args.config:
@@ -713,14 +731,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 f"config names experiment {cfg['experiment']!r} but "
                 f"{args.experiment!r} was requested"
             )
-        records = run_experiment(args.experiment, cfg)
+        records = run_experiment(args.experiment, cfg, emit=emit)
     except (ConfigError, FileNotFoundError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout (`... | head -1`): stop the sweep, and
+        # point stdout at devnull so the flush at exit raises nothing more
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
 
-    lines = [r.to_json_line() for r in records]
-    for line in lines:
-        print(line)
     out = args.out or cfg.get("out")
     if out:
         Path(out).write_text("".join(line + "\n" for line in lines))

@@ -310,7 +310,7 @@ def test_cli_main(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == lines[0]
 
 
-def test_cli_config_error_exit_code(tmp_path):
+def test_cli_config_error_exit_code(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("nonsense\n")
     assert harness.main(["trace", "--config", str(cfgfile)]) == 2
@@ -336,13 +336,17 @@ def test_cli_config_error_exit_code(tmp_path):
         ("variance", "N = 2\nn = 3\nT = nan\n"),
         # the smallest n whose class numbers pass MAX_ABS_DISC, refused before any table grows
         ("trace", "n = 2500001\n"),
+        # the same bad cell after good ones: still refused before any record
+        ("trace", "n = 1,2,2500001\n"),
         # the smallest odd n prime to N whose r3 lookups (4n) pass MAX_R3_N = 2^22
         ("arith-sum", "N = 2\nn = 1048577\n"),
     ]:
         cfgfile.write_text(text)
         assert harness.main([experiment, "--config", str(cfgfile)]) == 2, text
     # every config above is refused at parse time, before any table grows
+    # and before any record is printed
     assert class_numbers._h_table is tables[0] and class_numbers._r3_table is tables[1]
+    assert capsys.readouterr().out == ""
 
 
 def test_run_experiment_maint_residuals():
@@ -368,3 +372,91 @@ def test_cli_csv_emitter(tmp_path):
     rows = csvfile.read_text().splitlines()
     assert rows[0].startswith("experiment,")
     assert len(rows) == 4
+
+
+def _spy_trace_new(monkeypatch, before_call):
+    real = eichler_selberg.trace_new
+
+    def spy(n, k, N):
+        before_call()
+        return real(n, k, N)
+
+    monkeypatch.setattr(eichler_selberg, "trace_new", spy)
+
+
+def test_each_record_is_emitted_before_the_next_cell_runs(monkeypatch):
+    emitted, seen = [], []
+    _spy_trace_new(monkeypatch, lambda: seen.append(len(emitted)))
+    recs = run_experiment("trace", {"n": "1..4", "k": "12", "N": "1"}, emit=emitted.append)
+    assert seen == [0, 1, 2, 3]
+    assert emitted == recs
+
+
+def _without_timestamp(line):
+    d = json.loads(line)
+    del d["provenance"]["timestamp"]
+    return d
+
+
+def test_cli_prints_and_writes_the_records_it_returns(tmp_path, capsys, monkeypatch):
+    returned = []
+    real = harness.run_experiment
+
+    def spy(*args, **kwargs):
+        returned.extend(real(*args, **kwargs))
+        return returned
+
+    monkeypatch.setattr(harness, "run_experiment", spy)
+    cfgfile = tmp_path / "t.cfg"
+    cfgfile.write_text("n = 1..5\nk = 12,16\nN = 1\n")
+    out = tmp_path / "r.jsonl"
+    assert harness.main(["trace", "--config", str(cfgfile), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert lines == [r.to_json_line() for r in returned] == out.read_text().splitlines()
+    library = real("trace", parse_config(cfgfile.read_text()))
+    assert [_without_timestamp(line) for line in lines] == [
+        _without_timestamp(r.to_json_line()) for r in library]
+
+
+def test_records_before_a_failing_cell_are_already_printed(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def third_cell_fails():
+        calls.append(None)
+        if len(calls) == 3:
+            raise RuntimeError("cell 3 failed")
+
+    _spy_trace_new(monkeypatch, third_cell_fails)
+    cfgfile = tmp_path / "t.cfg"
+    cfgfile.write_text("n = 1..5\nk = 12\nN = 1\n")
+    with pytest.raises(RuntimeError, match="cell 3"):
+        harness.main(["trace", "--config", str(cfgfile)])
+    lines = capsys.readouterr().out.splitlines()
+    assert [json.loads(line)["parameters"]["n"] for line in lines] == [1, 2]
+
+
+def test_verify_full_is_one_cell_running_the_acceptance_suite(monkeypatch):
+    suites = []
+    monkeypatch.setattr(pytest, "main", lambda args: suites.append(args[-1]) or 0)
+    recs = run_experiment("verify", {"scope": "full"})
+    assert [Path(s).name for s in suites] == ["test_acceptance.py"]
+    assert [(r.experiment, r.parameters, r.outputs, r.provenance["truncation"]) for r in recs] == [
+        ("verify", {"scope": "full"}, {"pytest_exit_code": 0}, {"mode": "acceptance suite"})]
+
+
+def test_closed_stdout_ends_the_sweep_without_a_traceback(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, HECKE_SPECTRA_CACHE=str(tmp_path / "cache"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cfgfile = tmp_path / "big.cfg"
+    cfgfile.write_text("n = 1..3000\nk = 12\nN = 1\n")  # far more than a pipe buffer holds
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hecke_spectra.harness", "trace", "--config", str(cfgfile)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()  # as `| head -1` does
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 1
+    assert json.loads(first)["parameters"]["n"] == 1
+    assert b"Traceback" not in stderr, stderr.decode(errors="replace")
